@@ -5,7 +5,7 @@
 //
 //	go test -bench 'BenchmarkCompile' -benchmem
 //
-// The NoPool variant runs the identical code path on virgin memory per
+// The NoPool variant runs the identical code path on a fresh arena per
 // compile, so the pair quantifies exactly what arena pooling saves.
 package repro
 
@@ -18,15 +18,20 @@ import (
 	"repro/internal/sched"
 )
 
-func benchCompile(b *testing.B, cfg sched.Config) {
+// benchCompile runs one core.Compile per op; fresh gives every compile
+// its own sched.NewArena instead of a pooled one.
+func benchCompile(b *testing.B, fresh bool) {
 	s := suite(b)
 	for _, name := range core.Schedulers() {
 		b.Run(string(name), func(b *testing.B) {
-			opt := core.Options{Scheduler: name, Config: cfg, SkipCodegen: true}
+			opt := core.Options{Scheduler: name, SkipCodegen: true}
 			loops := s.Loops
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if fresh {
+					opt.Config.Arena = sched.NewArena()
+				}
 				if _, err := core.Compile(loops[i%len(loops)].CL.Loop, opt); err != nil {
 					b.Fatal(err)
 				}
@@ -37,13 +42,13 @@ func benchCompile(b *testing.B, cfg sched.Config) {
 
 // BenchmarkCompile measures one pooled compilation per op, per policy.
 func BenchmarkCompile(b *testing.B) {
-	benchCompile(b, sched.Config{})
+	benchCompile(b, false)
 }
 
 // BenchmarkCompileNoPool is BenchmarkCompile with the arena pool
 // bypassed — the differential baseline for allocation accounting.
 func BenchmarkCompileNoPool(b *testing.B) {
-	benchCompile(b, sched.Config{NoPool: true})
+	benchCompile(b, true)
 }
 
 // BenchmarkCompileInto measures the caller-owned-buffer entry point:

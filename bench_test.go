@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -246,7 +247,8 @@ func BenchmarkSlackScheduleSample(b *testing.B) {
 	l := fixture.Sample(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Slack(sched.Config{}).Schedule(l)
+		res := new(sched.Result)
+		err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), l, res)
 		if err != nil || !res.OK() {
 			b.Fatal("scheduling failed")
 		}

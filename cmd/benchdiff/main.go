@@ -11,7 +11,7 @@
 // With only -history, the last record is the head and the one before it
 // the baseline. With -head, the head comes from the last record of that
 // file (CI measures into a temp file) and the baseline is the last
-// record of -history whose (size, seed, nopool) match — records at a
+// record of -history whose (size, seed, machine) match — records at a
 // different workload are incomparable and skipped.
 //
 // Three regression classes, strictest first:
@@ -76,8 +76,8 @@ func main() {
 
 	base := baselineFor(hist, head)
 	if base == nil {
-		fatalf("no comparable baseline in %s for size=%d seed=%d machine=%s nopool=%v",
-			*history, head.Size, head.Seed, orPaper(head.Machine), head.NoPool)
+		fatalf("no comparable baseline in %s for size=%d seed=%d machine=%s",
+			*history, head.Size, head.Seed, orPaper(head.Machine))
 	}
 
 	fmt.Printf("baseline: %s %s (%s)\nhead:     %s %s (%s)\n\n",
@@ -99,8 +99,7 @@ func main() {
 func baselineFor(hist []*bench.HistoryRecord, head *bench.HistoryRecord) *bench.HistoryRecord {
 	for i := len(hist) - 1; i >= 0; i-- {
 		r := hist[i]
-		if r.Size == head.Size && r.Seed == head.Seed && r.NoPool == head.NoPool &&
-			orPaper(r.Machine) == orPaper(head.Machine) {
+		if r.Size == head.Size && r.Seed == head.Seed && orPaper(r.Machine) == orPaper(head.Machine) {
 			return r
 		}
 	}

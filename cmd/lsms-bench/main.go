@@ -43,11 +43,7 @@
 // BENCH_history.jsonl format cmd/benchdiff consumes:
 //
 //	lsms-bench -history BENCH_history.jsonl [-sha $(git rev-parse --short HEAD)]
-//	           [-note "arena pooling"] [-size 120] [-seed 1993] [-nopool]
-//
-// -nopool bypasses the scratch-arena pool everywhere (every compile on
-// virgin memory) — the escape hatch mirroring -nofastpaths, and the
-// differential baseline for allocation accounting.
+//	           [-note "arena pooling"] [-size 120] [-seed 1993]
 package main
 
 import (
@@ -74,8 +70,6 @@ func main() {
 	benchjson := flag.String("benchjson", "", "write the perf experiment's JSON record here (implies -exp perf)")
 	metricsjson := flag.String("metricsjson", "", "write the merged event-stream metrics JSON here (implies -exp metrics)")
 	tracedir := flag.String("tracedir", "", "write one Chrome trace_event file per policy into this directory")
-	noFast := flag.Bool("nofastpaths", false, "disable parametric MinDist reuse and incremental bounds (perf attribution baseline)")
-	noPool := flag.Bool("nopool", false, "bypass the scratch-arena pool: every compile on virgin memory (allocation-accounting baseline)")
 	history := flag.String("history", "", "append one per-compile benchmark record to this JSONL trajectory file and exit")
 	sha := flag.String("sha", "unknown", "git commit the -history record describes")
 	note := flag.String("note", "", "free-form annotation for the -history record")
@@ -95,14 +89,14 @@ func main() {
 	mach := resolveMachine(*machName)
 
 	if *history != "" {
-		benches, err := bench.CompileBench(*size, *seed, sched.Config{NoPool: *noPool}, mach)
+		benches, err := bench.CompileBench(*size, *seed, mach)
 		check(err)
 		machRec := ""
 		if mach != nil {
 			machRec = mach.Name
 		}
 		rec := bench.NewHistoryRecord(*sha, time.Now().UTC().Format("2006-01-02"), *note,
-			*size, *seed, machRec, *noPool, benches)
+			*size, *seed, machRec, benches)
 		check(bench.AppendHistory(*history, rec))
 		fmt.Println(rec)
 		fmt.Printf("history record appended to %s\n", *history)
@@ -144,12 +138,8 @@ func main() {
 			s.Parallel = *par
 			s.Degrade = *degrade
 			s.Trace = *tracedir != ""
-			if *noFast || *noPool || *deadline > 0 {
-				cfg := sched.Config{
-					NoFastPaths: *noFast,
-					NoPool:      *noPool,
-					Budget:      sched.Budget{Deadline: *deadline},
-				}
+			if *deadline > 0 {
+				cfg := sched.Config{Budget: sched.Budget{Deadline: *deadline}}
 				for _, n := range core.Schedulers() {
 					s.Configure(n, cfg)
 				}

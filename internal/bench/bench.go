@@ -333,7 +333,7 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 	if s.Metrics {
 		m := &sched.Metrics{}
 		if prev := cfg.Observer; prev != nil {
-			cfg.Observer = multiObserver{prev, m}
+			cfg.Observer = sched.Observers{prev, m}
 		} else {
 			cfg.Observer = m
 		}
@@ -396,13 +396,16 @@ func runOutcome(run Run) string {
 	return obs.OutcomeOK
 }
 
-// multiObserver chains observers for one run.
-type multiObserver []sched.Observer
-
-func (m multiObserver) Event(e sched.Event) {
-	for _, o := range m {
-		o.Event(e)
+// scheduleLoop runs one scheduler on l into a fresh Result under the
+// paper's Table 4 convention: a loop that exhausts the II ceiling is
+// data (res.OK() false, nil error), not a failure.
+func scheduleLoop(r core.Runner, l *ir.Loop) (*sched.Result, error) {
+	res := &sched.Result{}
+	err := r.ScheduleInto(context.Background(), l, res)
+	if errors.Is(err, sched.ErrInfeasible) {
+		err = nil
 	}
+	return res, err
 }
 
 // MergeMetrics folds the per-loop metrics of a sweep in loop order —

@@ -498,7 +498,7 @@ func Regalloc(s *Suite) ([]RegallocResult, error) {
 		out[i].Strategy = fmt.Sprintf("%v/%v", c.strat, c.ord)
 	}
 	for _, info := range infos {
-		res, err := sched.Slack(sched.Config{}).Schedule(info.Loop)
+		res, err := scheduleLoop(sched.Slack(sched.Config{}), info.Loop)
 		if err != nil || !res.OK() {
 			continue
 		}
@@ -750,7 +750,7 @@ func CodeExpansion(s *Suite) (*ExpansionResult, error) {
 	}
 	res := &ExpansionResult{}
 	for _, info := range infos {
-		sr, err := sched.Slack(sched.Config{}).Schedule(info.Loop)
+		sr, err := scheduleLoop(sched.Slack(sched.Config{}), info.Loop)
 		if err != nil || !sr.OK() {
 			continue
 		}
@@ -817,11 +817,11 @@ func Straightline(s *Suite) (*StraightlineResult, error) {
 			big += info.Loop.Mach.Info(op.Opcode).Busy + info.Loop.Mach.Latency(op.Opcode)
 		}
 		cfg := sched.Config{StartII: big, MaxII: big}
-		a, err := sched.Slack(cfg).Schedule(info.Loop)
+		a, err := scheduleLoop(sched.Slack(cfg), info.Loop)
 		if err != nil || !a.OK() {
 			continue
 		}
-		b, err := sched.SlackUnidirectional(cfg).Schedule(info.Loop)
+		b, err := scheduleLoop(sched.SlackUnidirectional(cfg), info.Loop)
 		if err != nil || !b.OK() {
 			continue
 		}
@@ -871,7 +871,7 @@ func PredicateSharing(s *Suite) (*PredShareResult, error) {
 		if !info.Loop.HasConditional {
 			continue
 		}
-		sr, err := sched.Slack(sched.Config{}).Schedule(info.Loop)
+		sr, err := scheduleLoop(sched.Slack(sched.Config{}), info.Loop)
 		if err != nil || !sr.OK() {
 			continue
 		}

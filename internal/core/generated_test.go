@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -124,7 +125,8 @@ func TestGeneratedLoopsMVE(t *testing.T) {
 		if trips > 20 {
 			trips = 20
 		}
-		res, err := sched.Slack(sched.Config{}).Schedule(cl.Loop)
+		res := new(sched.Result)
+		err = sched.Slack(sched.Config{}).ScheduleInto(context.Background(), cl.Loop, res)
 		if err != nil || !res.OK() {
 			t.Fatalf("loop %d: scheduling failed", i)
 		}

@@ -9,23 +9,62 @@ import (
 	"testing"
 
 	"repro/internal/loopgen"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
-// TestCompileIntoEquivalence is the correctness bar of the
-// caller-owned-buffer entry point: over the full generator corpus and
-// every registered policy, CompileInto writing into ONE Compiled that
-// is recycled across all loops (so its Result, Schedule.Time, and
-// MinDist buffers arrive dirty and wrongly-sized at every call) must
-// produce results bit-identical to a fresh CompileContext, and must
-// classify errors identically.
+// TestCompileIntoEquivalence is the correctness bar of the arena pool
+// and the caller-owned-buffer entry point together. Over the generator
+// corpus and every registered policy, a dirty compile must be
+// bit-identical to a clean one — same schedule, same pressure numbers,
+// same effort counters, same serialized wire result — and must classify
+// errors identically. The dirty side runs on pooled scratch (each
+// arena ratcheted and dirtied by a different loop) and writes into ONE
+// Compiled recycled across all loops, so its Result, Schedule.Time and
+// MinDist buffers arrive dirty and wrongly sized at every call. The
+// clean side runs on a fresh Arena into a fresh CompileContext result.
 func TestCompileIntoEquivalence(t *testing.T) {
 	size := 120
 	if testing.Short() {
 		size = 36
 	}
-	w, err := loopgen.Build(loopgen.Options{Size: size, Seed: 424})
+	testDirtyCleanEquivalence(t, loopgen.Options{Size: size, Seed: 424}, true)
+}
+
+// TestPooledEquivalence isolates the arena pool: the dirty side runs on
+// pooled scratch as above but writes into a fresh Compiled per loop, so
+// a divergence here is the pool's fault, not the recycled buffer's.
+func TestPooledEquivalence(t *testing.T) {
+	size := 120
+	if testing.Short() {
+		size = 36
+	}
+	testDirtyCleanEquivalence(t, loopgen.Options{Size: size, Seed: 424}, false)
+}
+
+// TestCompileIntoEquivalenceCGRA runs the same differential on the
+// cgra4 target: its FU-kind table is a different size and shape than
+// the paper family's, so pooled arenas handed from a cydra compile to a
+// cgra4 compile (and vice versa, as the pool is shared) must resize
+// their per-kind scratch rather than reuse stale widths.
+func TestCompileIntoEquivalenceCGRA(t *testing.T) {
+	size := 60
+	if testing.Short() {
+		size = 24
+	}
+	m, ok := machine.Lookup("cgra4")
+	if !ok {
+		t.Fatal("cgra4 is not registered")
+	}
+	testDirtyCleanEquivalence(t, loopgen.Options{Size: size, Seed: 424, Mach: m}, true)
+}
+
+// testDirtyCleanEquivalence compares pooled-scratch compiles against
+// fresh-arena ones; recycleDst makes the dirty side also reuse one
+// Compiled across the whole corpus.
+func testDirtyCleanEquivalence(t *testing.T, opts loopgen.Options, recycleDst bool) {
+	w, err := loopgen.Build(opts)
 	if err != nil {
 		t.Fatalf("building workload: %v", err)
 	}
@@ -34,27 +73,33 @@ func TestCompileIntoEquivalence(t *testing.T) {
 		opt := Options{Scheduler: name, SkipCodegen: true}
 		var buf Compiled // one buffer for the whole corpus — sizes vary per loop
 		for _, wl := range w.Loops {
-			fresh, ferr := CompileContext(ctx, wl.CL.Loop, opt)
-			ierr := CompileInto(ctx, &buf, wl.CL.Loop, opt)
-			if c1, c2 := errClass(ferr), errClass(ierr); c1 != c2 {
-				t.Fatalf("%s/%s: error class diverges: CompileContext %q (%v), CompileInto %q (%v)",
-					name, wl.Name, c1, ferr, c2, ierr)
+			if !recycleDst {
+				buf = Compiled{}
+			}
+			derr := CompileInto(ctx, &buf, wl.CL.Loop, opt)
+			clean := opt
+			clean.Config.Arena = sched.NewArena()
+			fresh, cerr := CompileContext(ctx, wl.CL.Loop, clean)
+			clean.Config.Arena.Release()
+			if c1, c2 := errClass(cerr), errClass(derr); c1 != c2 {
+				t.Fatalf("%s/%s: error class diverges: clean %q (%v), dirty %q (%v)",
+					name, wl.Name, c1, cerr, c2, derr)
 			}
 			if fresh == nil {
 				if buf.Loop != nil {
-					t.Fatalf("%s/%s: CompileContext produced nothing but CompileInto left dst populated",
+					t.Fatalf("%s/%s: clean compile produced nothing but CompileInto left dst populated",
 						name, wl.Name)
 				}
 				continue
 			}
 			if buf.Loop == nil {
-				t.Fatalf("%s/%s: CompileContext produced a result but CompileInto zeroed dst", name, wl.Name)
+				t.Fatalf("%s/%s: clean compile produced a result but CompileInto zeroed dst", name, wl.Name)
 			}
-			fh := compiledHash(t, name, wl.Name, fresh)
-			ih := compiledHash(t, name, wl.Name, &buf)
-			if fh != ih {
-				t.Errorf("%s/%s: reused-buffer result diverges from fresh result: %s vs %s",
-					name, wl.Name, ih, fh)
+			ch := compiledHash(t, name, wl.Name, fresh)
+			dh := compiledHash(t, name, wl.Name, &buf)
+			if ch != dh {
+				t.Errorf("%s/%s: dirty result diverges from clean result: %s vs %s",
+					name, wl.Name, dh, ch)
 			}
 		}
 	}
@@ -104,8 +149,8 @@ func errClass(err error) string {
 }
 
 // compiledHash hashes the serialized wire form of every deterministic
-// output a server response carries (the same projection as
-// compileResultHash, but over an already-built Compiled).
+// output a server response carries: feasibility, II, the full
+// schedule, the pressure and bound numbers, and the effort counters.
 func compiledHash(t *testing.T, name SchedulerName, loopName string, c *Compiled) string {
 	t.Helper()
 	b := c.Result.Bounds

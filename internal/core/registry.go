@@ -28,53 +28,14 @@ const (
 // errors.Is(err, core.ErrUnknownScheduler).
 var ErrUnknownScheduler = errors.New("core: unknown scheduler")
 
-// Runner schedules loops under a context; see
-// sched.Scheduler.ScheduleContext for the error contract (typed
-// *sched.InfeasibleError / *sched.BudgetError alongside a partial
-// Result).
+// Runner schedules loops under a context into a caller-owned
+// sched.Result; see sched.Scheduler.ScheduleInto for the buffer-reuse
+// and error contract (typed *sched.InfeasibleError /
+// *sched.BudgetError alongside the partial Result, a zeroed Result on
+// preflight failure). *sched.Scheduler, *sched.ListScheduler and
+// *exact.Scheduler implement it.
 type Runner interface {
-	Schedule(ctx context.Context, l *ir.Loop) (*sched.Result, error)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(ctx context.Context, l *ir.Loop) (*sched.Result, error)
-
-// Schedule implements Runner.
-func (f RunnerFunc) Schedule(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-	return f(ctx, l)
-}
-
-// IntoRunner is the optional buffer-reusing extension of Runner: a
-// runner that can write its result into a caller-owned sched.Result
-// (see sched.Scheduler.ScheduleInto for the contract). CompileInto
-// type-asserts for it; runners without it still work through Schedule,
-// at the cost of the per-compile result allocations. All built-in
-// policies implement it.
-type IntoRunner interface {
 	ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Result) error
-}
-
-// schedulerRunner adapts *sched.Scheduler to Runner and IntoRunner —
-// the registration shape of the backtracking built-ins.
-type schedulerRunner struct{ s *sched.Scheduler }
-
-func (r schedulerRunner) Schedule(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-	return r.s.ScheduleContext(ctx, l)
-}
-
-func (r schedulerRunner) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
-	return r.s.ScheduleInto(ctx, l, dst)
-}
-
-// listRunner adapts the function-shaped list scheduler the same way.
-type listRunner struct{ cfg sched.Config }
-
-func (r listRunner) Schedule(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-	return sched.ListScheduleContext(ctx, l, r.cfg)
-}
-
-func (r listRunner) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
-	return sched.ListScheduleInto(ctx, l, r.cfg, dst)
 }
 
 // Factory builds a ready-to-run scheduler for one configuration.
@@ -128,19 +89,9 @@ func Schedulers() []SchedulerName {
 }
 
 func init() {
-	Register(SchedSlack, func(cfg sched.Config) Runner {
-		return schedulerRunner{sched.Slack(cfg)}
-	})
-	Register(SchedSlackUni, func(cfg sched.Config) Runner {
-		return schedulerRunner{sched.SlackUnidirectional(cfg)}
-	})
-	Register(SchedCydrome, func(cfg sched.Config) Runner {
-		return schedulerRunner{sched.Cydrome(cfg)}
-	})
-	Register(SchedList, func(cfg sched.Config) Runner {
-		return listRunner{cfg}
-	})
-	Register(SchedExact, func(cfg sched.Config) Runner {
-		return exact.New(cfg)
-	})
+	Register(SchedSlack, func(cfg sched.Config) Runner { return sched.Slack(cfg) })
+	Register(SchedSlackUni, func(cfg sched.Config) Runner { return sched.SlackUnidirectional(cfg) })
+	Register(SchedCydrome, func(cfg sched.Config) Runner { return sched.Cydrome(cfg) })
+	Register(SchedList, func(cfg sched.Config) Runner { return sched.List(cfg) })
+	Register(SchedExact, func(cfg sched.Config) Runner { return exact.New(cfg) })
 }

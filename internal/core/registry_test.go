@@ -45,16 +45,25 @@ func TestUnknownSchedulerError(t *testing.T) {
 	}
 }
 
+// countingRunner is an external policy: it counts its calls and
+// delegates to another runner.
+type countingRunner struct {
+	calls *int
+	inner Runner
+}
+
+func (r countingRunner) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
+	*r.calls++
+	return r.inner.ScheduleInto(ctx, l, dst)
+}
+
 // An external policy registered at runtime is reachable through Compile
 // and listed by Schedulers.
 func TestRegisterCustomPolicy(t *testing.T) {
 	const name SchedulerName = "zz-custom"
 	calls := 0
 	Register(name, func(cfg sched.Config) Runner {
-		return RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-			calls++
-			return sched.ListScheduleContext(ctx, l, cfg)
-		})
+		return countingRunner{calls: &calls, inner: sched.List(cfg)}
 	})
 	defer func() { // the registry is process-global; leave it as found
 		registry.Lock()

@@ -8,7 +8,7 @@
 // schedule seeds the incumbent, so the branch-and-bound only has to
 // search II values in [MII, slack II] and, at the slack II, schedules
 // with strictly lower MaxLive. Consequently the backend is *anytime*:
-// whenever the slack seed succeeds, Schedule returns a feasible result
+// whenever the slack seed succeeds, ScheduleInto returns a feasible result
 // even if the budget expires mid-search — the result is then the best
 // schedule found so far and Outcome.Proven reports false. Typed errors
 // are reserved for runs that produce nothing at all: a
@@ -60,7 +60,8 @@ const DefaultNodeBudget = 1 << 17
 const nodeCheckStride = 256
 
 // Scheduler is the exact backend configured once; safe for sequential
-// reuse, not for concurrent Schedule calls (matching sched.Scheduler).
+// reuse, not for concurrent ScheduleInto calls (matching
+// sched.Scheduler).
 type Scheduler struct {
 	cfg sched.Config
 }
@@ -68,11 +69,11 @@ type Scheduler struct {
 // New returns an exact scheduler with the given configuration. The
 // fields the backend honors: Budget (MaxCentralIters = search nodes,
 // MaxIIAttempts = II values branch-and-bounded, Deadline), StartII,
-// MaxII, Observer/Trace (attempt-level events), Arena/NoPool (passed to
-// the slack seed run).
+// MaxII, Observer (attempt-level events), Arena (passed to the slack
+// seed run).
 func New(cfg sched.Config) *Scheduler { return &Scheduler{cfg: cfg} }
 
-// Outcome is the full verdict of one exact search — Schedule's result
+// Outcome is the full verdict of one exact search — ScheduleInto's result
 // plus the evidence the gap experiment and the lsmsd refiner need.
 type Outcome struct {
 	Result  *sched.Result // best schedule found (Policy "exact")
@@ -87,20 +88,11 @@ type Outcome struct {
 	Improved bool
 }
 
-// Schedule runs the search with a background context.
-func (s *Scheduler) Schedule(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-	o, err := s.Search(ctx, l)
-	if o == nil {
-		return nil, err
-	}
-	return o.Result, err
-}
-
-// ScheduleInto is Schedule writing into a caller-owned Result,
-// honoring the core.IntoRunner contract: dst is zeroed on preflight
-// failure, carries partial evidence on typed errors, and is complete on
-// success. The exact backend allocates its search state per call, so
-// Into reuse saves only the Result shell itself.
+// ScheduleInto runs the search and writes the best schedule into a
+// caller-owned Result, honoring the core.Runner contract: dst is zeroed
+// on preflight failure, carries partial evidence on typed errors, and
+// is complete on success. The exact backend allocates its search state
+// per call, so reusing dst saves only the Result shell itself.
 func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
 	o, err := s.Search(ctx, l)
 	if o == nil || o.Result == nil {
@@ -127,7 +119,7 @@ func (s *Scheduler) Search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	e := &searcher{
 		l:      l,
 		cfg:    s.cfg,
-		obs:    s.cfg.EventSink(),
+		obs:    s.cfg.Observer,
 		bounds: bounds,
 	}
 	e.guard = newGuard(ctx, s.cfg.Budget)
@@ -140,11 +132,11 @@ func (s *Scheduler) Search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	// caps the II range the branch-and-bound must cover. Its budget is
 	// shared — the seed runs under the same Config, and the guard's
 	// wall clock keeps ticking across it.
-	seedCfg := s.cfg
-	seedRes, seedErr := sched.Slack(seedCfg).ScheduleContext(ctx, l)
+	seedRes := &sched.Result{}
+	seedErr := sched.Slack(s.cfg).ScheduleInto(ctx, l, seedRes)
 	var incumbent *sched.Result
 	incumbentML := 0
-	if seedErr == nil && seedRes != nil && seedRes.OK() {
+	if seedErr == nil && seedRes.OK() {
 		incumbent = seedRes
 		incumbentML = lifetime.Measure(l, seedRes.Schedule, ir.RR).MaxLive
 	}

@@ -30,7 +30,8 @@ func TestExactBudgetErrorTyped(t *testing.T) {
 	}
 	var l *ir.Loop
 	for _, wl := range suite.Loops {
-		sres, serr := sched.Slack(sched.Config{}).ScheduleContext(context.Background(), wl.CL.Loop)
+		sres := new(sched.Result)
+		serr := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), wl.CL.Loop, sres)
 		if serr == nil && sres.OK() && sres.Stats.CentralIters > 300 {
 			l = wl.CL.Loop
 			break
@@ -98,7 +99,8 @@ func TestExactAnytime(t *testing.T) {
 	for _, l := range fixture.All(m) {
 		// Enough nodes for the slack seed's central loop, too few for the
 		// exact search to prove anything.
-		sres, serr := sched.Slack(sched.Config{}).ScheduleContext(context.Background(), l)
+		sres := new(sched.Result)
+		serr := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), l, sres)
 		if serr != nil || !sres.OK() {
 			continue
 		}
@@ -176,18 +178,19 @@ func TestExactRegistered(t *testing.T) {
 	}
 }
 
-// TestExactScheduleInto: the IntoRunner contract — reused dst matches a
-// fresh Schedule call, and preflight failure zeroes dst.
+// TestExactScheduleInto: the core.Runner contract — a reused dst
+// matches a fresh one, and preflight failure zeroes dst.
 func TestExactScheduleInto(t *testing.T) {
 	m := machine.Cydra()
 	var dst sched.Result
 	for _, l := range fixture.All(m) {
-		fresh, errA := exact.New(sched.Config{}).Schedule(context.Background(), l)
+		fresh := new(sched.Result)
+		errA := exact.New(sched.Config{}).ScheduleInto(context.Background(), l, fresh)
 		errB := exact.New(sched.Config{}).ScheduleInto(context.Background(), l, &dst)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%s: error divergence: %v vs %v", l.Name, errA, errB)
 		}
-		if errA != nil || fresh == nil {
+		if errA != nil {
 			continue
 		}
 		if fresh.Schedule.II != dst.Schedule.II {

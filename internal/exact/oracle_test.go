@@ -131,7 +131,8 @@ func TestExactNeverWorseThanSlack(t *testing.T) {
 	improved := 0
 	for _, wl := range suite.Loops {
 		l := wl.CL.Loop
-		sres, serr := sched.Slack(sched.Config{}).ScheduleContext(context.Background(), l)
+		sres := new(sched.Result)
+		serr := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), l, sres)
 		if serr != nil || !sres.OK() {
 			continue
 		}

@@ -176,8 +176,15 @@ func (e *Exporter) deliver(t *Trace) error {
 		return err
 	}
 	if e.dir != "" {
+		// Write under a dot-prefixed name and rename into place, so a
+		// reader globbing trace-*.json never sees a half-written file.
 		name := fmt.Sprintf("trace-%06d-%s.json", e.seq.Add(1), t.Ctx.TraceID)
-		return os.WriteFile(filepath.Join(e.dir, name), doc, 0o644)
+		tmp := filepath.Join(e.dir, "."+name)
+		if err := os.WriteFile(tmp, doc, 0o644); err != nil {
+			os.Remove(tmp)
+			return err
+		}
+		return os.Rename(tmp, filepath.Join(e.dir, name))
 	}
 	resp, err := e.client.Post(e.url, "application/json", bytes.NewReader(doc))
 	if err != nil {

@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,8 @@ func TestSampleCoreAllocation(t *testing.T) {
 func TestFixtureAllocationsNearMaxLive(t *testing.T) {
 	m := machine.Cydra()
 	for _, l := range fixture.All(m) {
-		res, err := sched.Slack(sched.Config{}).Schedule(l)
+		res := new(sched.Result)
+		err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), l, res)
 		if err != nil || !res.OK() {
 			t.Fatalf("%s: scheduling failed", l.Name)
 		}

@@ -75,22 +75,14 @@ func AcquireArena() *Arena {
 	return a
 }
 
-// NewArena returns a fresh arena that Release never returns to the pool
-// — the -nopool escape hatch: the same code path as pooled compiles, but
-// every compile starts from virgin memory.
+// NewArena returns a fresh arena that Release never returns to the pool:
+// a caller that passes it as Config.Arena runs the same code path as
+// pooled compiles on virgin memory (the differential tests' clean side).
 func NewArena() *Arena {
 	a := new(Arena)
 	a.held = true
 	arenaInUse.Add(1)
 	return a
-}
-
-// acquireArena picks the pool unless nopool.
-func acquireArena(nopool bool) *Arena {
-	if nopool {
-		return NewArena()
-	}
-	return AcquireArena()
 }
 
 // Release ends the arena's compile: it drops every reference to

@@ -16,7 +16,7 @@ func TestArenaReleaseRetainsNoRequestData(t *testing.T) {
 	l := fixture.Divide(machine.Cydra())
 	a := AcquireArena()
 	cfg := Config{Arena: a}
-	if _, err := Slack(cfg).Schedule(l); err != nil {
+	if _, err := schedule(Slack(cfg), l); err != nil {
 		t.Fatal(err)
 	}
 	if a.preparedFor != l {
@@ -64,12 +64,14 @@ func TestArenaPoolRoundTrip(t *testing.T) {
 	loops := fixture.All(m)
 	for _, l := range loops {
 		a := AcquireArena()
-		got, err := Slack(Config{Arena: a}).Schedule(l)
+		got, err := schedule(Slack(Config{Arena: a}), l)
 		a.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		want, err := Slack(Config{NoPool: true}).Schedule(l)
+		fresh := NewArena()
+		want, err := schedule(Slack(Config{Arena: fresh}), l)
+		fresh.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

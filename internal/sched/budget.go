@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Budget bounds the work one Schedule call may perform. The zero value
+// Budget bounds the work one ScheduleInto call may perform. The zero value
 // is unlimited — the hot path then skips every check. A hostile loop
 // (ejection storm, II escalation on a RecMII-hard recurrence) can
 // therefore never hang a caller that sets any bound: the engine checks
@@ -13,7 +13,7 @@ import (
 // iterations of the central loop, and on exhaustion returns a
 // *BudgetError carrying the partial evidence gathered so far.
 type Budget struct {
-	// Deadline caps the wall-clock time of one Schedule call, measured
+	// Deadline caps the wall-clock time of one ScheduleInto call, measured
 	// from its entry. 0 means unlimited.
 	Deadline time.Duration
 	// MaxCentralIters caps the central-loop iterations summed across

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/ir"
@@ -34,7 +35,7 @@ func divCircuitLoop() *ir.Loop {
 func TestSlackSucceedsWhereCydromeFails(t *testing.T) {
 	l := divCircuitLoop()
 
-	rs, err := Slack(Config{}).Schedule(l)
+	rs, err := schedule(Slack(Config{}), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +47,8 @@ func TestSlackSucceedsWhereCydromeFails(t *testing.T) {
 		t.Errorf("slack II = %d, want MII %d", rs.Schedule.II, rs.Bounds.MII)
 	}
 
-	rc, err := Cydrome(Config{}).Schedule(l)
-	if err != nil {
+	rc, err := schedule(Cydrome(Config{}), l)
+	if err != nil && !errors.Is(err, ErrInfeasible) {
 		t.Fatal(err)
 	}
 	if rc.OK() {

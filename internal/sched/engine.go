@@ -41,41 +41,28 @@ type Config struct {
 	MaxII int
 	// StartII overrides the initial II (default: the loop's MII).
 	StartII int
-	// Budget bounds the work of one Schedule call (wall clock, central
-	// iterations, II attempts); the zero value is unlimited. On
-	// exhaustion ScheduleContext returns a *BudgetError.
+	// Budget bounds the work of one ScheduleInto call (wall clock,
+	// central iterations, II attempts); the zero value is unlimited. On
+	// exhaustion ScheduleInto returns a *BudgetError.
 	Budget Budget
 	// Observer, when non-nil, receives the typed event stream of the
 	// run (EvAttemptStart, EvPlace, EvForce, EvEject, EvRestart,
-	// EvAttemptEnd); see Observer and TextObserver.
+	// EvAttemptEnd); see Observer, Observers and TextObserver.
 	Observer Observer
-	// Trace, when non-nil, receives one formatted line per central-loop
-	// placement event.
-	//
-	// Deprecated: use Observer; TextObserver reproduces this output
-	// byte-for-byte from the typed events. Trace remains wired (through
-	// an internal adapter) for existing callers.
-	Trace func(format string, args ...any)
-	// NoFastPaths disables the parametric MinDist cache and the
-	// incremental Estart/Lstart maintenance, recomputing both from
-	// scratch at every step. The optimized and direct paths are proven
-	// equivalent by differential tests; this knob exists for them and
-	// for perf attribution.
-	NoFastPaths bool
 	// Arena supplies the pooled per-compile scratch. Nil (the default)
-	// makes each Schedule call acquire its own arena — from the
-	// process-wide pool, or fresh when NoPool is set — and release it on
-	// every exit path. A caller that sets Arena owns its lifecycle:
-	// core.CompileContext acquires one arena per compilation so the
-	// scheduler, the degrade fallback, and the pressure measurements
-	// share scratch.
+	// makes each ScheduleInto call acquire its own arena from the
+	// process-wide pool and release it on every exit path. A caller
+	// that sets Arena owns its lifecycle: core.CompileInto acquires one
+	// arena per compilation so the scheduler, the degrade fallback, and
+	// the pressure measurements share scratch. Passing NewArena() runs
+	// the same code path on virgin memory.
 	Arena *Arena
-	// NoPool bypasses the sync.Pool: every compile runs on virgin
-	// memory through the same arena code path. The escape hatch mirrors
-	// NoFastPaths — pooled and unpooled runs are proven byte-identical
-	// by differential tests; this knob exists for them and for leak
-	// triage.
-	NoPool bool
+
+	// noFastPaths disables the parametric MinDist cache and the
+	// incremental Estart/Lstart maintenance, recomputing both from
+	// scratch at every step. It exists only as the reference side of
+	// the differential tests (set through export_test.go).
+	noFastPaths bool
 }
 
 func (c Config) withDefaults() Config {
@@ -88,7 +75,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats instruments one Schedule call with the Section 6 counters.
+// Stats instruments one ScheduleInto call with the Section 6 counters.
 type Stats struct {
 	IIAttempts   int           // values of II tried
 	CentralIters int64         // iterations of the central loop
@@ -138,55 +125,27 @@ func New(policy Policy, cfg Config) *Scheduler {
 	return &Scheduler{policy: policy, cfg: cfg.withDefaults()}
 }
 
-// Schedule modulo schedules the loop with a background context.
+// ScheduleInto modulo schedules the loop into a caller-owned Result: it
+// tries II = MII first and, when the heuristics give up, retries at
+// increased II until success or the II ceiling (Section 4.2). The
+// context and Config.Budget are checked at every II-attempt boundary
+// and every few hundred central-loop iterations, so a hostile loop
+// cannot hang the caller.
 //
-// For backward compatibility it keeps the legacy give-up contract:
-// exhausting the II ceiling returns (res, nil) with res.OK() false.
-// Budget exhaustion (only possible when Config.Budget is set) still
-// surfaces as a *BudgetError. New callers should prefer
-// ScheduleContext, whose error contract is uniform.
-func (s *Scheduler) Schedule(l *ir.Loop) (*Result, error) {
-	res, err := s.ScheduleContext(context.Background(), l)
-	if errors.Is(err, ErrInfeasible) {
-		err = nil
-	}
-	return res, err
-}
-
-// ScheduleContext modulo schedules the loop: it tries II = MII first
-// and, when the heuristics give up, retries at increased II until
-// success or the II ceiling (Section 4.2). The context and
-// Config.Budget are checked at every II-attempt boundary and every few
-// hundred central-loop iterations, so a hostile loop cannot hang the
-// caller.
-//
-// On success the error is nil. On failure the returned *Result is
-// still non-nil and carries the partial evidence (bounds, last II
-// attempted, effort counters), and the error is:
+// dst's previous contents are destroyed, but its Schedule.Time slice
+// and MinDist backing array are reused when large enough, so a caller
+// recycling one Result across compilations allocates nothing here in
+// steady state (core.CompileInto's contract). On preflight failure
+// (unfinalized loop, MII computation error) dst is zeroed
+// (dst.Loop == nil) and the error returned. Otherwise dst carries the
+// run: on success the error is nil; on failure dst still holds the
+// partial evidence (bounds, last II attempted, effort counters) and the
+// error is
 //
 //   - a *InfeasibleError (errors.Is ErrInfeasible) when the II ceiling
 //     was exhausted;
 //   - a *BudgetError (errors.Is ErrBudgetExhausted; also the context
 //     error when canceled) when the budget or context ran out.
-func (s *Scheduler) ScheduleContext(ctx context.Context, l *ir.Loop) (*Result, error) {
-	res := &Result{}
-	err := s.ScheduleInto(ctx, l, res)
-	if res.Loop == nil {
-		// Preflight failed before the result was populated — the legacy
-		// nil-Result contract.
-		return nil, err
-	}
-	return res, err
-}
-
-// ScheduleInto is ScheduleContext writing into a caller-owned Result:
-// dst's previous contents are destroyed, but its Schedule.Time slice
-// and MinDist backing array are reused when large enough, so a caller
-// recycling one Result across compilations allocates nothing here in
-// steady state (core.CompileInto's contract). On preflight failure
-// (unfinalized loop, MII computation error) dst is zeroed and the
-// error returned; otherwise dst carries exactly what ScheduleContext's
-// Result would, with the same typed errors.
 func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) error {
 	prevSched, prevMD := dst.Schedule, dst.MinDist
 	*dst = Result{}
@@ -212,7 +171,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	}
 
 	guard := newBudgetGuard(ctx, s.cfg.Budget)
-	sink := s.cfg.EventSink()
+	sink := s.cfg.Observer
 
 	// Pooled scratch: everything per-attempt lives in the arena. When
 	// the caller did not supply one, acquire here and release on every
@@ -221,14 +180,14 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	// partial state into the next compile).
 	a := s.cfg.Arena
 	if a == nil {
-		a = acquireArena(s.cfg.NoPool)
+		a = AcquireArena()
 		defer a.Release()
 	}
 	// Fast-path MinDist tables alias arena storage that the next compile
 	// overwrites, so the table escaping through res.MinDist is cloned at
 	// exit (LIFO: this defer runs before the arena release above).
 	defer func() {
-		if !s.cfg.NoFastPaths && res.MinDist != nil {
+		if !s.cfg.noFastPaths && res.MinDist != nil {
 			res.MinDist = res.MinDist.CloneInto(prevMD)
 		}
 	}()
@@ -250,7 +209,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		mdStart := time.Now()
 		var md *mindist.Table
 		var err error
-		if s.cfg.NoFastPaths {
+		if s.cfg.noFastPaths {
 			sp := tr.Start("mindist").Int("ii", int64(ii)).Str("mode", "direct")
 			md, err = mindist.Compute(l, ii)
 			sp.End(mindistOutcome(err))
@@ -277,7 +236,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		itersBefore := res.Stats.CentralIters
 		spa := tr.Start("attempt").Int("ii", int64(ii))
 		st := a.newState(l, ii, md)
-		st.noIncremental = s.cfg.NoFastPaths
+		st.noIncremental = s.cfg.noFastPaths
 		if sink != nil {
 			st.obs = sink
 			st.evt = Event{Loop: l.Name, Policy: s.policy.Name(), II: ii, Op: -1}

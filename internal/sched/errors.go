@@ -10,7 +10,7 @@ import (
 // run; match the class with errors.Is and recover the evidence with
 // errors.As:
 //
-//	res, err := s.ScheduleContext(ctx, l)
+//	err := s.ScheduleInto(ctx, l, res)
 //	var be *sched.BudgetError
 //	switch {
 //	case errors.As(err, &be):        // budget/deadline/cancellation; be.Stats has the effort
@@ -26,8 +26,8 @@ var (
 )
 
 // InfeasibleError is the typed carrier of ErrInfeasible: the scheduler
-// exhausted every II up to the ceiling. The accompanying *Result is
-// still returned and records the same evidence (FailedII, Stats) for
+// exhausted every II up to the ceiling. The destination Result still
+// records the same evidence (FailedII, Stats) for
 // callers that tabulate failures, the convention of the paper's
 // Table 4.
 type InfeasibleError struct {

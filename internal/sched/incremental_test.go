@@ -130,10 +130,10 @@ func TestResultMinDistAtFinalII(t *testing.T) {
 	for _, wl := range boundsLoops(t) {
 		l := wl.CL.Loop
 		for _, mk := range []func() (*Result, error){
-			func() (*Result, error) { return Slack(Config{}).Schedule(l) },
-			func() (*Result, error) { return SlackUnidirectional(Config{}).Schedule(l) },
-			func() (*Result, error) { return Cydrome(Config{}).Schedule(l) },
-			func() (*Result, error) { return ListSchedule(l, Config{}) },
+			func() (*Result, error) { return schedule(Slack(Config{}), l) },
+			func() (*Result, error) { return schedule(SlackUnidirectional(Config{}), l) },
+			func() (*Result, error) { return schedule(Cydrome(Config{}), l) },
+			func() (*Result, error) { return schedule(List(Config{}), l) },
 		} {
 			res, err := mk()
 			if err != nil {
@@ -157,16 +157,16 @@ func TestNoFastPathsEquivalence(t *testing.T) {
 	for _, wl := range boundsLoops(t) {
 		l := wl.CL.Loop
 		for _, mk := range []func(Config) (*Result, error){
-			func(c Config) (*Result, error) { return Slack(c).Schedule(l) },
-			func(c Config) (*Result, error) { return SlackUnidirectional(c).Schedule(l) },
-			func(c Config) (*Result, error) { return Cydrome(c).Schedule(l) },
-			func(c Config) (*Result, error) { return ListSchedule(l, c) },
+			func(c Config) (*Result, error) { return schedule(Slack(c), l) },
+			func(c Config) (*Result, error) { return schedule(SlackUnidirectional(c), l) },
+			func(c Config) (*Result, error) { return schedule(Cydrome(c), l) },
+			func(c Config) (*Result, error) { return schedule(List(c), l) },
 		} {
 			fast, err := mk(Config{})
 			if err != nil {
 				t.Fatalf("%s: %v", wl.Name, err)
 			}
-			slow, err := mk(Config{NoFastPaths: true})
+			slow, err := mk(NoFastPaths(Config{}))
 			if err != nil {
 				t.Fatalf("%s: %v", wl.Name, err)
 			}

@@ -94,7 +94,7 @@ func TestEngineInvariants(t *testing.T) {
 		l.MustFinalize()
 
 		pol := &instrumentedPolicy{t: t}
-		res, err := New(pol, Config{}).Schedule(l)
+		res, err := schedule(New(pol, Config{}), l)
 		if err != nil {
 			t.Fatal(err)
 		}

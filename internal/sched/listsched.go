@@ -14,19 +14,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ListSchedule is ListScheduleContext with a background context and the
-// legacy give-up contract: exhausting the II ceiling returns (res, nil)
-// with res.OK() false. Budget exhaustion still surfaces as a
-// *BudgetError.
-func ListSchedule(l *ir.Loop, cfg Config) (*Result, error) {
-	res, err := ListScheduleContext(context.Background(), l, cfg)
-	if errors.Is(err, ErrInfeasible) {
-		err = nil
-	}
-	return res, err
-}
-
-// ListScheduleContext is a classic list scheduler adapted to the modulo
+// ListScheduler is a classic list scheduler adapted to the modulo
 // constraint, with no backtracking: operations are placed in decreasing
 // height order (longest dependence path to Stop), each as early as
 // possible; if an operation has no feasible slot the whole attempt fails
@@ -37,31 +25,29 @@ func ListSchedule(l *ir.Loop, cfg Config) (*Result, error) {
 // does not fit now may fit nowhere later, and "a list-scheduling compiler
 // is not likely to find a feasible schedule at MII when recurrence
 // circuits are present." The benchmark harness quantifies exactly that —
-// and it is also the graceful-degradation fallback core.Compile uses
+// and it is also the graceful-degradation fallback core.CompileInto uses
 // when a budgeted run of a backtracking scheduler exhausts its budget,
 // which is why it shares the context, Budget, typed-error, and Observer
-// contracts of Scheduler.ScheduleContext.
-func ListScheduleContext(ctx context.Context, l *ir.Loop, cfg Config) (*Result, error) {
-	res := &Result{}
-	err := ListScheduleInto(ctx, l, cfg, res)
-	if res.Loop == nil {
-		return nil, err
-	}
-	return res, err
+// contracts of Scheduler.ScheduleInto.
+type ListScheduler struct {
+	cfg Config
 }
 
-// ListScheduleInto is ListScheduleContext writing into a caller-owned
-// Result, with the same buffer-reuse contract as
-// Scheduler.ScheduleInto: dst's previous contents are destroyed, its
-// Schedule and MinDist backing storage are recycled, and on preflight
-// failure dst is zeroed.
-func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) error {
+// List returns the list scheduler with the given configuration.
+func List(cfg Config) *ListScheduler {
+	return &ListScheduler{cfg: cfg.withDefaults()}
+}
+
+// ScheduleInto list schedules the loop into a caller-owned Result, with
+// the same buffer-reuse and error contract as Scheduler.ScheduleInto:
+// dst's previous contents are destroyed, its Schedule and MinDist
+// backing storage are recycled, and on preflight failure dst is zeroed.
+func (s *ListScheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) error {
 	prevSched, prevMD := dst.Schedule, dst.MinDist
 	*dst = Result{}
 	if !l.Finalized() {
 		return fmt.Errorf("sched: loop %s not finalized", l.Name)
 	}
-	cfg = cfg.withDefaults()
 	started := time.Now()
 	tr := obs.FromContext(ctx)
 	bounds, err := mii.ComputeContext(ctx, l)
@@ -71,14 +57,14 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 	res := dst
 	*res = Result{Loop: l, Policy: "list", Bounds: bounds}
 
-	maxII := cfg.MaxII
+	maxII := s.cfg.MaxII
 	if maxII == 0 {
-		maxII = (&Scheduler{cfg: cfg}).autoMaxII(l, bounds)
+		maxII = (&Scheduler{cfg: s.cfg}).autoMaxII(l, bounds)
 	}
 	n := len(l.Ops)
 
-	guard := newBudgetGuard(ctx, cfg.Budget)
-	sink := cfg.EventSink()
+	guard := newBudgetGuard(ctx, s.cfg.Budget)
+	sink := s.cfg.Observer
 	budgetStop := func(reason string, ii int) error {
 		res.Stats.Elapsed = time.Since(started)
 		e := &BudgetError{
@@ -94,13 +80,13 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 	// Pooled scratch: the fallback shares the caller's arena when one is
 	// configured (core passes the compile's arena through Config), else
 	// acquires its own for this call.
-	a := cfg.Arena
+	a := s.cfg.Arena
 	if a == nil {
-		a = acquireArena(cfg.NoPool)
+		a = AcquireArena()
 		defer a.Release()
 	}
 	defer func() {
-		if !cfg.NoFastPaths && res.MinDist != nil {
+		if !s.cfg.noFastPaths && res.MinDist != nil {
 			res.MinDist = res.MinDist.CloneInto(prevMD)
 		}
 	}()
@@ -116,7 +102,7 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 		mdStart := time.Now()
 		var md *mindist.Table
 		var err error
-		if cfg.NoFastPaths {
+		if s.cfg.noFastPaths {
 			md, err = mindist.Compute(l, ii)
 		} else {
 			md, err = cache.At(ii)

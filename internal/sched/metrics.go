@@ -8,7 +8,7 @@ package sched
 // reproduces the serial aggregate exactly.
 //
 // A Metrics value is not safe for concurrent use; give each concurrent
-// Schedule call its own and Merge afterwards.
+// ScheduleInto call its own and Merge afterwards.
 type Metrics struct {
 	// Events counts every event by kind, indexed by EventKind.
 	Events [numEventKinds]int64 `json:"-"`

@@ -159,32 +159,35 @@ type Event struct {
 
 // Observer receives the typed event stream of a scheduling run. The
 // scheduler calls Event synchronously from its own goroutine; an
-// observer shared across concurrent Schedule calls must synchronize
-// itself (the bench harness instead uses one observer per loop and
-// merges deterministically).
+// observer shared across concurrent ScheduleInto calls must synchronize
+// itself. The bench harness and lsmsd instead give each run its own
+// Metrics and merge it afterwards.
 type Observer interface {
 	Event(Event)
 }
 
-// multiObserver fans one stream out to several observers.
-type multiObserver []Observer
+// Observers fans one event stream out to several observers, in order.
+// Build the slice once and reuse it: converting a fresh Observers to an
+// Observer allocates.
+type Observers []Observer
 
-func (m multiObserver) Event(e Event) {
+// Event implements Observer.
+func (m Observers) Event(e Event) {
 	for _, o := range m {
 		o.Event(e)
 	}
 }
 
-// textObserver renders events in the legacy Config.Trace text format.
+// textObserver renders events as the -trace text.
 type textObserver struct {
 	w io.Writer
 }
 
 // TextObserver returns an Observer that renders the event stream as the
-// legacy -trace text: one "iter N: chose opX ..." line per EvPlace, one
-// "  forced opX at C ..." line per EvForce, byte-compatible with what
-// Config.Trace produced, plus a line per EvDegraded (which the legacy
-// hook could never see). Other kinds render nothing.
+// -trace text: one "iter N: chose opX ..." line per EvPlace, one
+// "  forced opX at C ..." line per EvForce, and a line per EvDegraded.
+// Other kinds render nothing. The format is pinned by a golden file
+// (testdata/legacy_trace.golden).
 func TextObserver(w io.Writer) Observer { return textObserver{w} }
 
 func (t textObserver) Event(e Event) {
@@ -199,34 +202,4 @@ func (t textObserver) Event(e Event) {
 		fmt.Fprintf(t.w, "degraded: %s budget exhausted at II=%d, falling back to list scheduling\n",
 			e.Policy, e.II)
 	}
-}
-
-// traceObserver adapts the deprecated Config.Trace hook to the event
-// stream, preserving the exact legacy format strings and arguments.
-type traceObserver struct {
-	f func(format string, args ...any)
-}
-
-func (t traceObserver) Event(e Event) {
-	switch e.Kind {
-	case EvPlace:
-		t.f("iter %d: chose op%d estart=%d lstart=%d free=%d",
-			e.Iter, e.Op, e.Estart, e.Lstart, e.Cycle)
-	case EvForce:
-		t.f("  forced op%d at %d (ejections now %d)", e.Op, e.Cycle, e.Ejections)
-	}
-}
-
-// EventSink resolves the configuration's effective observer: Observer,
-// the deprecated Trace hook (adapted to the legacy text format), both
-// chained, or nil when the run is unobserved — the engine's fast path.
-func (c Config) EventSink() Observer {
-	if c.Trace == nil {
-		return c.Observer
-	}
-	t := traceObserver{c.Trace}
-	if c.Observer == nil {
-		return t
-	}
-	return multiObserver{c.Observer, t}
 }

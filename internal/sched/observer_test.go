@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,10 +24,10 @@ func (r *recorder) Event(e Event) { r.events = append(r.events, e) }
 // with the given config.
 func observedSchedulers(cfg Config) map[string]func(*ir.Loop) (*Result, error) {
 	return map[string]func(*ir.Loop) (*Result, error){
-		"slack":    func(l *ir.Loop) (*Result, error) { return Slack(cfg).Schedule(l) },
-		"slack-1d": func(l *ir.Loop) (*Result, error) { return SlackUnidirectional(cfg).Schedule(l) },
-		"cydrome":  func(l *ir.Loop) (*Result, error) { return Cydrome(cfg).Schedule(l) },
-		"list":     func(l *ir.Loop) (*Result, error) { return ListSchedule(l, cfg) },
+		"slack":    func(l *ir.Loop) (*Result, error) { return schedule(Slack(cfg), l) },
+		"slack-1d": func(l *ir.Loop) (*Result, error) { return schedule(SlackUnidirectional(cfg), l) },
+		"cydrome":  func(l *ir.Loop) (*Result, error) { return schedule(Cydrome(cfg), l) },
+		"list":     func(l *ir.Loop) (*Result, error) { return schedule(List(cfg), l) },
 	}
 }
 
@@ -38,7 +39,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 		var streams [][]Event
 		for rep := 0; rep < 2; rep++ {
 			rec := &recorder{}
-			res, err := Slack(Config{Observer: rec}).Schedule(l)
+			res, err := schedule(Slack(Config{Observer: rec}), l)
 			if err != nil || !res.OK() {
 				t.Fatalf("%s: %v", l.Name, err)
 			}
@@ -99,36 +100,30 @@ func TestEventStreamWellFormed(t *testing.T) {
 	}
 }
 
-// TextObserver must reproduce the deprecated Config.Trace output
-// byte-for-byte from the typed events.
+// TextObserver must reproduce the retired Config.Trace hook's output
+// byte-for-byte. testdata/legacy_trace.golden holds that hook's output
+// for every fixture loop under both configs below, each run headed by a
+// "# config N loop NAME" line; it pins the lsms -trace=text bytes.
 func TestTextObserverMatchesLegacyTrace(t *testing.T) {
+	want, err := os.ReadFile("testdata/legacy_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := machine.Cydra()
+	var got bytes.Buffer
 	// A tiny ejection budget makes divide backtrack hard, covering the
 	// "forced" lines as well as the "chose" lines.
-	for _, cfg := range []Config{{}, {EjectBudgetPerOp: 1, MinEjectBudget: 1}} {
+	for i, cfg := range []Config{{}, {EjectBudgetPerOp: 1, MinEjectBudget: 1}} {
 		for _, l := range fixture.All(m) {
-			var legacy bytes.Buffer
-			c1 := cfg
-			c1.Trace = func(format string, args ...any) {
-				fmt.Fprintf(&legacy, format+"\n", args...)
-			}
-			if _, err := Slack(c1).Schedule(l); err != nil {
+			fmt.Fprintf(&got, "# config %d loop %s\n", i, l.Name)
+			cfg.Observer = TextObserver(&got)
+			if _, err := schedule(Slack(cfg), l); err != nil {
 				t.Fatal(err)
-			}
-			var text bytes.Buffer
-			c2 := cfg
-			c2.Observer = TextObserver(&text)
-			if _, err := Slack(c2).Schedule(l); err != nil {
-				t.Fatal(err)
-			}
-			if legacy.Len() == 0 {
-				t.Fatalf("%s: legacy trace produced nothing", l.Name)
-			}
-			if !bytes.Equal(legacy.Bytes(), text.Bytes()) {
-				t.Fatalf("%s: TextObserver output differs from legacy trace\nlegacy:\n%s\ntext:\n%s",
-					l.Name, legacy.String(), text.String())
 			}
 		}
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("TextObserver output differs from testdata/legacy_trace.golden\ngot:\n%s", got.String())
 	}
 }
 
@@ -140,7 +135,7 @@ func TestEventStreamIdenticalUnderConcurrency(t *testing.T) {
 	serial := make([][]Event, len(loops))
 	for i, l := range loops {
 		rec := &recorder{}
-		if _, err := Slack(Config{Observer: rec}).Schedule(l); err != nil {
+		if _, err := schedule(Slack(Config{Observer: rec}), l); err != nil {
 			t.Fatal(err)
 		}
 		serial[i] = rec.events
@@ -152,7 +147,7 @@ func TestEventStreamIdenticalUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := &recorder{}
-			if _, err := Slack(Config{Observer: rec}).Schedule(l); err != nil {
+			if _, err := schedule(Slack(Config{Observer: rec}), l); err != nil {
 				t.Error(err)
 				return
 			}
@@ -174,14 +169,14 @@ func TestMetricsMergeMatchesSerial(t *testing.T) {
 	loops := fixture.All(m)
 	whole := &Metrics{}
 	for _, l := range loops {
-		if _, err := Slack(Config{Observer: whole}).Schedule(l); err != nil {
+		if _, err := schedule(Slack(Config{Observer: whole}), l); err != nil {
 			t.Fatal(err)
 		}
 	}
 	merged := &Metrics{}
 	for _, l := range loops {
 		per := &Metrics{}
-		if _, err := Slack(Config{Observer: per}).Schedule(l); err != nil {
+		if _, err := schedule(Slack(Config{Observer: per}), l); err != nil {
 			t.Fatal(err)
 		}
 		merged.Merge(per)
@@ -205,7 +200,7 @@ func TestMetricsOutcomeDimension(t *testing.T) {
 		per := &Metrics{}
 		cfg := tinyEject
 		cfg.Observer = per
-		if _, err := Slack(cfg).Schedule(l); err != nil {
+		if _, err := schedule(Slack(cfg), l); err != nil {
 			t.Fatal(err)
 		}
 		merged.Merge(per)

@@ -40,10 +40,10 @@ func TestAttemptOutcomeCentralIters(t *testing.T) {
 	rec := &recorder{}
 	met := &Metrics{}
 	cfg := Config{
-		Observer: multiObserver{rec, met},
+		Observer: Observers{rec, met},
 		Budget:   Budget{MaxCentralIters: 10},
 	}
-	_, err := Slack(cfg).ScheduleContext(context.Background(), l)
+	_, err := schedule(Slack(cfg), l)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Reason != ReasonCentralIters {
 		t.Fatalf("err = %v, want BudgetError(%s)", err, ReasonCentralIters)
@@ -82,8 +82,8 @@ func TestAttemptOutcomeCanceled(t *testing.T) {
 	rec := &recorder{}
 	met := &Metrics{}
 	canceler := &cancelOnFirstPlace{cancel: cancel}
-	cfg := Config{Observer: multiObserver{canceler, rec, met}}
-	_, err := Slack(cfg).ScheduleContext(ctx, l)
+	cfg := Config{Observer: Observers{canceler, rec, met}}
+	_, err := scheduleCtx(ctx, Slack(cfg), l)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Reason != ReasonCanceled {
 		t.Fatalf("err = %v, want BudgetError(%s)", err, ReasonCanceled)
@@ -104,7 +104,7 @@ func TestAttemptOutcomeGiveUpAndOK(t *testing.T) {
 	met := &Metrics{}
 	cfg := tinyEject
 	cfg.Observer = met
-	res, err := Slack(cfg).Schedule(l)
+	res, err := schedule(Slack(cfg), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("schedule failed: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestAttemptOutcomeGiveUpAndOK(t *testing.T) {
 func TestListSchedulerStampsOutcomes(t *testing.T) {
 	l := fixture.Daxpy(machine.Cydra())
 	rec := &recorder{}
-	res, err := ListSchedule(l, Config{Observer: rec})
+	res, err := schedule(List(Config{Observer: rec}), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("list schedule failed: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestAttemptOutcomeNames(t *testing.T) {
 	}
 }
 
-// A traced ScheduleContext records the pipeline spans: the MII bound,
+// A traced ScheduleInto records the pipeline spans: the MII bound,
 // at least one MinDist build, and one attempt span per II attempt, with
 // the culprit election pointing at the attempt when the budget trips
 // inside it.
@@ -190,7 +190,7 @@ func TestScheduleContextRecordsSpans(t *testing.T) {
 	l := fixture.Daxpy(machine.Cydra())
 	tr := obs.NewTrace("t1", l.Name)
 	ctx := obs.WithTrace(context.Background(), tr)
-	res, err := Slack(Config{}).ScheduleContext(ctx, l)
+	res, err := scheduleCtx(ctx, Slack(Config{}), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("schedule failed: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestScheduleContextRecordsSpans(t *testing.T) {
 	tr2 := obs.NewTrace("t2", big.Name)
 	ctx2 := obs.WithTrace(context.Background(), tr2)
 	cfg := Config{Budget: Budget{MaxCentralIters: 10}}
-	if _, err := Slack(cfg).ScheduleContext(ctx2, big); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := scheduleCtx(ctx2, Slack(cfg), big); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 	tr2.Finish(obs.OutcomeCentralIters)

@@ -22,7 +22,7 @@ func benchScheduleKernels(b *testing.B, cfg Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, wl := range ks {
-			res, err := Slack(cfg).Schedule(wl.CL.Loop)
+			res, err := schedule(Slack(cfg), wl.CL.Loop)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func BenchmarkScheduleKernels(b *testing.B) {
 // from scratch at every step — the pre-optimization baseline, kept as
 // the denominator for the speedup trajectory.
 func BenchmarkScheduleKernelsNoFastPaths(b *testing.B) {
-	benchScheduleKernels(b, Config{NoFastPaths: true})
+	benchScheduleKernels(b, NoFastPaths(Config{}))
 }
 
 // BenchmarkScheduleKernelsIncrementByOne forces many II retries (the

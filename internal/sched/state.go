@@ -378,7 +378,7 @@ func (st *State) eject(x int) {
 	st.time[x] = ir.Unplaced
 	st.unplacedCount++
 	st.ejections++
-	// Under NoFastPaths every refreshBounds call recomputes from
+	// On the direct path every refreshBounds call recomputes from
 	// scratch anyway, and no bound is read between an ejection and the
 	// next refresh, so the direct path defers to it.
 	if !st.noIncremental {

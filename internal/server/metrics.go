@@ -198,7 +198,7 @@ func (m *metrics) compileDone(scheduler, outcome string, seconds float64, traceI
 // stream in the Prometheus text exposition format — scrapeable,
 // lintable (obs.LintExposition), and dependency-free. The registry
 // renders under its one lock; the scheduler families render from one
-// SafeMetrics snapshot, so each section is internally consistent.
+// Metrics snapshot, so each section is internally consistent.
 //
 // The format is negotiated: the default is the classic 0.0.4 text
 // format, in which exemplar syntax is illegal and therefore omitted; a
@@ -213,7 +213,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.m.reg.WriteText(&b)
 	}
-	writeSchedFamilies(&b, s.sm.Snapshot(), om)
+	writeSchedFamilies(&b, s.Metrics(), om)
 	if om {
 		b.WriteString("# EOF\n")
 		w.Header().Set("Content-Type", obs.OpenMetricsContentType)

@@ -200,7 +200,8 @@ type Server struct {
 	disk      *store.Disk // the persistent tier, nil when not configured
 	flights   *flightGroup
 	refine    *refiner // nil unless Config.Refine
-	sm        *sched.SafeMetrics
+	smMu      sync.Mutex
+	sm        sched.Metrics // the folded scheduler event stream, guarded by smMu
 	flight    *obs.FlightRecorder
 	exporter  *obs.Exporter // nil unless tracing is configured
 	slo       *obs.SLO
@@ -223,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
 		flights: newFlightGroup(),
-		sm:      &sched.SafeMetrics{},
 		flight:  obs.NewFlightRecorder(cfg.FlightEntries),
 		logger:  cfg.Logger,
 		started: time.Now(),
@@ -322,8 +322,22 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// Metrics returns a snapshot of the folded scheduler event stream.
-func (s *Server) Metrics() sched.Metrics { return s.sm.Snapshot() }
+// Metrics returns a snapshot of the folded scheduler event stream: the
+// sum of every finished compile's per-run Metrics.
+func (s *Server) Metrics() sched.Metrics {
+	s.smMu.Lock()
+	defer s.smMu.Unlock()
+	return s.sm
+}
+
+// foldMetrics merges one compile's Metrics into the server-wide
+// aggregate under its lock, then clears m for the next compile.
+func (s *Server) foldMetrics(m *sched.Metrics) {
+	s.smMu.Lock()
+	s.sm.Merge(m)
+	s.smMu.Unlock()
+	*m = sched.Metrics{}
+}
 
 // CacheLen reports how many records the result store holds, summed
 // over its tiers — a key resident in both the memory and disk tiers
@@ -600,7 +614,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	tr := obs.NewTrace(reqID, loop.Name)
 	tr.Scheduler = schedName
 	tr.Ctx, tr.Parent = sctx, parent
-	out := s.admitAndCompile(r.Context(), norm, loop, schedName, hash, reqID, scr.tail, tr)
+	out := s.admitAndCompile(r.Context(), norm, loop, schedName, hash, reqID, scr.run, tr)
 	s.flights.finish(hash, c, out)
 	if s.refine != nil && out.cacheable && out.status == http.StatusOK &&
 		out.name == obs.OutcomeOK && schedName != string(core.SchedExact) {
@@ -629,7 +643,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // reqScratch is the pooled per-request decode state: the body buffer,
 // the wire decode scratch (envelope, loop document, request struct),
-// and the event tail recorder. A worker that has served a request of a
+// and the compile's observers. A worker that has served a request of a
 // given size serves the next one of that size without allocating any of
 // them. One scratch belongs to one request from Get to release; the
 // response bytes it produces are freshly allocated (they outlive the
@@ -638,11 +652,27 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 type reqScratch struct {
 	body []byte
 	dec  wire.Scratch
-	tail *sched.TailRecorder
+	run  *runScratch
 }
 
 var reqScratchPool = sync.Pool{
-	New: func() any { return &reqScratch{tail: sched.NewTailRecorder(0)} },
+	New: func() any { return &reqScratch{run: newRunScratch()} },
+}
+
+// runScratch is one compile's observer state, built once per pooled
+// scratch: the run's own Metrics, folded into the server-wide aggregate
+// once the compile returns, and the event tail recorder, both fed
+// through one prebuilt fan-out.
+type runScratch struct {
+	met  sched.Metrics
+	tail *sched.TailRecorder
+	obs  sched.Observer
+}
+
+func newRunScratch() *runScratch {
+	rs := &runScratch{tail: sched.NewTailRecorder(0)}
+	rs.obs = sched.Observers{&rs.met, rs.tail}
+	return rs
 }
 
 // release drops every reference to request data — decoded strings, the
@@ -651,7 +681,7 @@ var reqScratchPool = sync.Pool{
 func (scr *reqScratch) release() {
 	scr.body = scr.body[:0]
 	scr.dec.Reset()
-	scr.tail.Reset()
+	scr.run.tail.Reset()
 	reqScratchPool.Put(scr)
 }
 
@@ -675,15 +705,6 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 	}
 }
 
-// teeObserver fans the scheduler's event stream to the server-wide
-// aggregate and the per-request tail recorder.
-type teeObserver struct{ a, b sched.Observer }
-
-func (t teeObserver) Event(e sched.Event) {
-	t.a.Event(e)
-	t.b.Event(e)
-}
-
 // admitAndCompile runs the admission-controlled compilation and
 // serializes its outcome, recording the request's trace — spans from
 // every pipeline stage plus, for failed or degraded runs, the tail of
@@ -691,7 +712,7 @@ func (t teeObserver) Event(e sched.Event) {
 // trace is sampled, the exporter. The caller builds tr (stamped with
 // the request's span context); rejected or canceled-in-queue requests
 // return before the trace starts and leave it unfinished.
-func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *ir.Loop, schedName, hash, reqID string, tail *sched.TailRecorder, tr *obs.Trace) outcome {
+func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *ir.Loop, schedName, hash, reqID string, run *runScratch, tr *obs.Trace) outcome {
 	s.m.queueDepth.Observe(float64(s.adm.waiting()))
 	if !s.adm.tryEnter() {
 		s.m.rejected.Inc()
@@ -710,13 +731,14 @@ func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *
 
 	cfg := norm.Options.SchedConfig()
 	cfg.Budget.Deadline = s.effectiveDeadline(cfg.Budget.Deadline)
-	cfg.Observer = teeObserver{s.sm, tail}
+	cfg.Observer = run.obs
 	compiled, err := s.safeCompile(obs.WithTrace(ctx, tr), loop, core.Options{
 		Scheduler:   core.SchedulerName(schedName),
 		Config:      cfg,
 		SkipCodegen: true,
 		Degrade:     norm.Options.Degrade,
 	})
+	s.foldMetrics(&run.met)
 	out := s.outcomeOf(norm, loop, schedName, hash, compiled, err)
 	if out.cacheable {
 		// Write-through under its own span: when the disk tier is
@@ -732,7 +754,7 @@ func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *
 	if out.name != obs.OutcomeOK {
 		// Retention rule: only failed and degraded compiles carry their
 		// event tail — that is where replaying the run matters.
-		tail.AttachTail(tr)
+		run.tail.AttachTail(tr)
 	}
 	tr.Finish(out.name)
 	s.flight.Record(tr)

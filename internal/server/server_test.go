@@ -27,25 +27,34 @@ import (
 // tests hold worker slots deterministically.
 var blockRelease chan struct{}
 
+// runnerFunc adapts a function to core.Runner.
+type runnerFunc func(ctx context.Context, l *ir.Loop, dst *sched.Result) error
+
+func (f runnerFunc) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
+	return f(ctx, l, dst)
+}
+
 func init() {
 	core.Register("test-block", func(cfg sched.Config) core.Runner {
-		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
+		return runnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
 			select {
 			case <-blockRelease:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				*dst = sched.Result{}
+				return ctx.Err()
 			}
-			return sched.Slack(cfg).ScheduleContext(ctx, l)
+			return sched.Slack(cfg).ScheduleInto(ctx, l, dst)
 		})
 	})
 	core.Register("test-panic", func(cfg sched.Config) core.Runner {
-		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
+		return runnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
 			panic("synthetic scheduler panic")
 		})
 	})
 	core.Register("test-budget", func(cfg sched.Config) core.Runner {
-		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-			return nil, &sched.BudgetError{
+		return runnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
+			*dst = sched.Result{}
+			return &sched.BudgetError{
 				Loop: l.Name, Policy: "test-budget", Reason: sched.ReasonDeadline, MII: 2, LastII: 3,
 			}
 		})

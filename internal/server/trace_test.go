@@ -416,7 +416,13 @@ func TestBuildInfoAndTraceMetrics(t *testing.T) {
 
 	exemplar := `# {trace_id="0123456789abcdef0123456789abcdef"}`
 
+	// The exporter counts a delivery only after the file is in place,
+	// so the counter may trail the spool by a moment.
 	out, ctype := scrape("")
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(out, "lsmsd_trace_exported_total 1") && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		out, ctype = scrape("")
+	}
 	if !strings.HasPrefix(ctype, "text/plain; version=0.0.4") {
 		t.Fatalf("default scrape content type %q", ctype)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -69,10 +68,10 @@ func (s *Server) WarmStart(ctx context.Context, reqs []*wire.Request) (WarmStats
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tail := sched.NewTailRecorder(0)
+			run := newRunScratch()
 			for i := range feed {
-				s.warmOne(ctx, reqs[i], i, warmRoot, tail, &warm, &compiled, fail)
-				tail.Reset()
+				s.warmOne(ctx, reqs[i], i, warmRoot, run, &warm, &compiled, fail)
+				run.tail.Reset()
 			}
 		}()
 	}
@@ -100,7 +99,7 @@ feeding:
 // warmOne precompiles one corpus request: store probe first, then the
 // same admitAndCompile path a live request takes.
 func (s *Server) warmOne(ctx context.Context, req *wire.Request, i int, warmRoot obs.SpanContext,
-	tail *sched.TailRecorder, warm, compiled *atomic.Int64, fail func(error)) {
+	run *runScratch, warm, compiled *atomic.Int64, fail func(error)) {
 	norm, loop, err := req.Normalize()
 	if err != nil {
 		fail(fmt.Errorf("warm-start request %d: %w", i, err))
@@ -153,7 +152,7 @@ func (s *Server) warmOne(ctx context.Context, req *wire.Request, i int, warmRoot
 		Sampled: warmRoot.Sampled,
 	}
 	tr.Links = []obs.SpanContext{warmRoot}
-	out := s.admitAndCompile(ctx, norm, loop, schedName, hash, reqID, tail, tr)
+	out := s.admitAndCompile(ctx, norm, loop, schedName, hash, reqID, run, tr)
 	s.flights.finish(hash, c, out)
 	if out.cacheable {
 		compiled.Add(1)

@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 func scheduled(t *testing.T) (*ir.Loop, *ir.Schedule) {
 	t.Helper()
 	l := fixture.Sample(machine.Cydra())
-	res, err := sched.Slack(sched.Config{}).Schedule(l)
+	res := new(sched.Result)
+	err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), l, res)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/codegen"
@@ -17,7 +18,8 @@ import (
 func TestMVEMatchesInterpreterAndRotating(t *testing.T) {
 	m := machine.Cydra()
 	for _, r := range fixture.Runnables(m) {
-		res, err := sched.Slack(sched.Config{}).Schedule(r.Loop)
+		res := new(sched.Result)
+		err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), r.Loop, res)
 		if err != nil || !res.OK() {
 			t.Fatalf("%s: scheduling failed", r.Loop.Name)
 		}
@@ -66,7 +68,8 @@ func TestMVEMatchesInterpreterAndRotating(t *testing.T) {
 func TestMVEUnrollFactor(t *testing.T) {
 	m := machine.Cydra()
 	l := fixture.Sample(m)
-	res, err := sched.Slack(sched.Config{}).Schedule(l)
+	res := new(sched.Result)
+	err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), l, res)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}
@@ -91,7 +94,8 @@ func TestMVEUnrollFactor(t *testing.T) {
 func TestMVEShortTrips(t *testing.T) {
 	m := machine.Cydra()
 	r := fixture.RunnableSample(m)
-	res, err := sched.Slack(sched.Config{}).Schedule(r.Loop)
+	res := new(sched.Result)
+	err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), r.Loop, res)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 
 func kernelFor(t *testing.T, r fixture.Runnable) *codegen.Kernel {
 	t.Helper()
-	res, err := sched.Slack(sched.Config{}).Schedule(r.Loop)
+	res := new(sched.Result)
+	err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), r.Loop, res)
 	if err != nil || !res.OK() {
 		t.Fatalf("%s: scheduling failed", r.Loop.Name)
 	}
@@ -86,7 +88,8 @@ func TestParanoidCatchesBadSpecifier(t *testing.T) {
 func TestParanoidCatchesLatencyViolation(t *testing.T) {
 	m := machine.Cydra()
 	r := fixture.RunnableDaxpy(m)
-	res, err := sched.Slack(sched.Config{}).Schedule(r.Loop)
+	res := new(sched.Result)
+	err := sched.Slack(sched.Config{}).ScheduleInto(context.Background(), r.Loop, res)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}

@@ -13,8 +13,9 @@ import (
 //
 // Canonicalization rules (DESIGN.md §5c):
 //
-//   - The request is normalized to IR form first, so the source- and
-//     IR-forms of the same loop hash identically.
+//   - The request is normalized to IR form first (unless Normalize
+//     returned it), so the source- and IR-forms of the same loop hash
+//     identically.
 //   - DeadlineMS is excluded (zeroed): a wall-clock deadline changes
 //     only whether a compilation finishes, never what it computes, and
 //     lsmsd refuses to cache budget-exhausted outcomes — so requests
@@ -28,7 +29,7 @@ import (
 //     and the version string is canonicalized first, so v1 and v2
 //     envelopes of the same request hash identically.
 func (r *Request) Hash() (string, error) {
-	n, _, err := r.Normalize()
+	n, err := r.normalForm()
 	if err != nil {
 		return "", err
 	}

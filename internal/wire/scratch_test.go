@@ -31,7 +31,7 @@ func TestScratchDecodeMatchesFresh(t *testing.T) {
 		if i%3 == 1 {
 			// Vary the options so absent keys in the next document must
 			// not inherit these values.
-			opt = Options{MaxII: 100, NoFastPaths: true, Degrade: true}
+			opt = Options{MaxII: 100, IncrementByOne: true, Degrade: true}
 		}
 		req, err := NewRequest(wl.CL.Loop, []string{"slack", ""}[i%2], opt)
 		if err != nil {

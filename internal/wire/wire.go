@@ -76,18 +76,23 @@ type Request struct {
 	Source      string        `json:"source,omitempty"`
 	LoopIndex   int           `json:"loop_index,omitempty"`
 	Loop        *Loop         `json:"loop,omitempty"`
+
+	// normalized marks a request Normalize returned, so Hash and
+	// Canonical do not redo the frontend compile or loop decode.
+	normalized bool
 }
 
 // Options is the serializable subset of sched.Config plus the
 // core.Options knobs a remote caller may set. DeadlineMS is wall-clock
-// and therefore excluded from the content hash (see Hash).
+// and therefore excluded from the content hash (see Hash). A retired
+// "no_fast_paths" key is accepted and ignored: the direct and optimized
+// paths compute identical results, so it never changed a response.
 type Options struct {
 	IncrementByOne   bool  `json:"increment_by_one,omitempty"`
 	EjectBudgetPerOp int   `json:"eject_budget_per_op,omitempty"`
 	MinEjectBudget   int   `json:"min_eject_budget,omitempty"`
 	MaxII            int   `json:"max_ii,omitempty"`
 	StartII          int   `json:"start_ii,omitempty"`
-	NoFastPaths      bool  `json:"no_fast_paths,omitempty"`
 	DeadlineMS       int64 `json:"deadline_ms,omitempty"`
 	MaxCentralIters  int64 `json:"max_central_iters,omitempty"`
 	MaxIIAttempts    int   `json:"max_ii_attempts,omitempty"`
@@ -95,7 +100,7 @@ type Options struct {
 }
 
 // SchedConfig converts the wire options to a sched.Config (Observer
-// and Trace are process-local and stay nil).
+// and Arena are process-local and stay nil).
 func (o Options) SchedConfig() sched.Config {
 	return sched.Config{
 		IncrementByOne:   o.IncrementByOne,
@@ -103,7 +108,6 @@ func (o Options) SchedConfig() sched.Config {
 		MinEjectBudget:   o.MinEjectBudget,
 		MaxII:            o.MaxII,
 		StartII:          o.StartII,
-		NoFastPaths:      o.NoFastPaths,
 		Budget: sched.Budget{
 			Deadline:        time.Duration(o.DeadlineMS) * time.Millisecond,
 			MaxCentralIters: o.MaxCentralIters,
@@ -112,16 +116,21 @@ func (o Options) SchedConfig() sched.Config {
 	}
 }
 
-// OptionsFrom captures the serializable parts of a sched.Config.
+// OptionsFrom captures the serializable parts of a sched.Config. A
+// positive deadline rounds up to whole milliseconds, so a sub-millisecond
+// deadline stays a deadline on the wire.
 func OptionsFrom(cfg sched.Config, degrade bool) Options {
+	deadlineMS := int64(0)
+	if d := cfg.Budget.Deadline; d > 0 {
+		deadlineMS = int64((d + time.Millisecond - 1) / time.Millisecond)
+	}
 	return Options{
 		IncrementByOne:   cfg.IncrementByOne,
 		EjectBudgetPerOp: cfg.EjectBudgetPerOp,
 		MinEjectBudget:   cfg.MinEjectBudget,
 		MaxII:            cfg.MaxII,
 		StartII:          cfg.StartII,
-		NoFastPaths:      cfg.NoFastPaths,
-		DeadlineMS:       cfg.Budget.Deadline.Milliseconds(),
+		DeadlineMS:       deadlineMS,
 		MaxCentralIters:  cfg.Budget.MaxCentralIters,
 		MaxIIAttempts:    cfg.Budget.MaxIIAttempts,
 		Degrade:          degrade,
@@ -400,7 +409,8 @@ func (r *Request) Validate() error {
 // canonicalized too — a v1 version string becomes Version, and an
 // inline spec fills the machine name — so every accepted way of
 // writing a request converges on one set of canonical bytes. The
-// receiver is not modified.
+// receiver is not modified. The returned request is marked normalized:
+// Hash and Canonical use it as is rather than normalizing it again.
 func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 	if err := r.Validate(); err != nil {
 		return nil, nil, err
@@ -412,6 +422,7 @@ func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 	n := *r
 	n.Version = Version
 	n.Machine = m.Name
+	n.normalized = true
 	if r.Source != "" {
 		_, loops, err := frontend.Compile(r.Source, m)
 		if err != nil {
@@ -443,9 +454,19 @@ func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 // same work — regardless of source vs IR form — have identical
 // canonical bytes.
 func (r *Request) Canonical() ([]byte, error) {
-	n, _, err := r.Normalize()
+	n, err := r.normalForm()
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(n)
+}
+
+// normalForm returns r itself when Normalize produced it, and r's
+// normalized form otherwise.
+func (r *Request) normalForm() (*Request, error) {
+	if r.normalized {
+		return r, nil
+	}
+	n, _, err := r.Normalize()
+	return n, err
 }
