@@ -307,10 +307,10 @@ func writeTraces(s *bench.Suite, dir string) error {
 		if err != nil {
 			return err
 		}
-		traces := make([]*obs.Trace, 0, len(rs))
+		traces := make([]*obs.TraceDoc, 0, len(rs))
 		for _, r := range rs {
 			if r.Trace != nil {
-				traces = append(traces, r.Trace)
+				traces = append(traces, obs.NewTraceDoc(r.Trace))
 			}
 		}
 		path := filepath.Join(dir, string(name)+".trace.json")

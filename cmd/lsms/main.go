@@ -282,10 +282,10 @@ func main() {
 		}
 	}
 	if trace.mode == "chrome" {
-		kept := make([]*obs.Trace, 0, len(spans))
+		kept := make([]*obs.TraceDoc, 0, len(spans))
 		for _, tr := range spans {
 			if tr != nil {
-				kept = append(kept, tr)
+				kept = append(kept, obs.NewTraceDoc(tr))
 			}
 		}
 		f, err := os.Create(*traceout)

@@ -70,7 +70,8 @@
 // kept off the compile port so it is never publicly reachable:
 //
 //	GET  /debug/pprof/...       — the standard net/http/pprof handlers
-//	GET  /debug/flightrecorder  — the last -flight compile traces
+//	GET  /debug/flightrecorder  — the last -flight compile traces as
+//	                              lsms-trace/1 documents
 //	                              (?trace=<id> filters to one W3C trace)
 //	GET  /debug/slo             — SLO window counts, burn rates, verdict
 //

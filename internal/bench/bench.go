@@ -128,7 +128,8 @@ type Suite struct {
 	// parallel sweeps.
 	Metrics bool
 	// Trace attaches an obs.Trace per run; the per-loop span traces land
-	// in Run.Trace, ready for obs.WriteChromeTrace (lsms-bench -tracedir).
+	// in Run.Trace, ready for the Chrome view (obs.NewTraceDoc, then
+	// obs.WriteChromeTrace; lsms-bench -tracedir).
 	Trace bool
 
 	infos []*LoopInfo

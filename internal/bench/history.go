@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -63,7 +64,8 @@ type HistoryRecord struct {
 // CompileBench measures the per-compile hot path for every registered
 // policy on the sized workload: a testing.Benchmark whose op is one
 // core.Compile (scheduling + pressure, no codegen — the lsmsd serving
-// shape), round-robin over the corpus, plus one untimed sweep that
+// shape), round-robin over the corpus, for ns/op; allocs/op and B/op
+// from countAllocs over the same ops; plus one untimed sweep that
 // aggregates the effort counters. Each policy yields two records:
 // "compile/<policy>" (a fresh Compiled per op, the legacy entry point)
 // and "compileinto/<policy>" (one Compiled recycled across ops via
@@ -80,39 +82,21 @@ func CompileBench(size int, seed int64, mach *machine.Desc) ([]BenchRecord, erro
 	var out []BenchRecord
 	for _, name := range core.Schedulers() {
 		opt := core.Options{Scheduler: name, SkipCodegen: true}
-		var benchErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile(loops[i%len(loops)].CL.Loop, opt); err != nil {
-					benchErr = fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
-					b.FailNow()
-				}
+		compile := func(i int) error {
+			if _, err := core.Compile(loops[i%len(loops)].CL.Loop, opt); err != nil {
+				return fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
 			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
+			return nil
 		}
-		rInto := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var c core.Compiled
-			for i := 0; i < b.N; i++ {
-				err := core.CompileInto(ctx, &c, loops[i%len(loops)].CL.Loop, opt)
-				if err != nil && !errors.Is(err, sched.ErrInfeasible) {
-					benchErr = fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
-					b.FailNow()
-				}
+		var c core.Compiled
+		compileInto := func(i int) error {
+			err := core.CompileInto(ctx, &c, loops[i%len(loops)].CL.Loop, opt)
+			if err != nil && !errors.Is(err, sched.ErrInfeasible) {
+				return fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
 			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
+			return nil
 		}
-		rec := BenchRecord{
-			Name:        "compile/" + string(name),
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-		}
+		rec := BenchRecord{Name: "compile/" + string(name)}
 		for _, l := range loops {
 			c, err := core.Compile(l.CL.Loop, opt)
 			if err != nil {
@@ -128,13 +112,74 @@ func CompileBench(size int, seed int64, mach *machine.Desc) ([]BenchRecord, erro
 		}
 		recInto := rec
 		recInto.Name = "compileinto/" + string(name)
-		recInto.NsPerOp = float64(rInto.NsPerOp())
-		recInto.BytesPerOp = float64(rInto.AllocedBytesPerOp())
-		recInto.AllocsPerOp = float64(rInto.AllocsPerOp())
+		for _, m := range []struct {
+			rec *BenchRecord
+			op  func(int) error
+		}{{&rec, compile}, {&recInto, compileInto}} {
+			ns, err := nsPerOp(m.op)
+			if err != nil {
+				return nil, err
+			}
+			allocs, bytes, err := countAllocs(len(loops), m.op)
+			if err != nil {
+				return nil, err
+			}
+			m.rec.NsPerOp, m.rec.AllocsPerOp, m.rec.BytesPerOp = ns, allocs, bytes
+		}
 		out = append(out, rec, recInto)
 	}
 	return out, nil
 }
+
+// nsPerOp times op (called with 0, 1, 2, …) under testing.Benchmark.
+func nsPerOp(op func(int) error) (float64, error) {
+	var opErr error
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if opErr = op(i); opErr != nil {
+				b.FailNow()
+			}
+		}
+	})
+	return float64(r.NsPerOp()), opErr
+}
+
+// countAllocs reports op's heap allocations and bytes per call over one
+// pass of n calls (op(0) … op(n-1)), with the garbage collector off and
+// one P, once the pools and buffers op reuses are warm: passes repeat
+// until two in a row allocate alike (at most maxAllocPasses). Under
+// testing.Benchmark the counts depend on when GC ran — each collection
+// empties the sync.Pool-held arenas, and the refill is spread over
+// however many ops b.N happened to be, which swamps the per-op counts
+// of a small-b.N benchmark such as the exact backend's. Counted this
+// way two runs agree exactly. Like testing.BenchmarkResult.AllocsPerOp,
+// the averages truncate to whole numbers.
+func countAllocs(n int, op func(int) error) (allocs, bytes float64, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var mallocs, total uint64
+	for pass := 0; pass < maxAllocPasses; pass++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if err := op(i); err != nil {
+				return 0, 0, err
+			}
+		}
+		runtime.ReadMemStats(&after)
+		m := after.Mallocs - before.Mallocs
+		steady := pass > 0 && m == mallocs
+		mallocs, total = m, after.TotalAlloc-before.TotalAlloc
+		if steady {
+			break
+		}
+	}
+	return float64(mallocs / uint64(n)), float64(total / uint64(n)), nil
+}
+
+// maxAllocPasses bounds countAllocs' warm-up; every policy on the
+// generator corpus settles by its third pass.
+const maxAllocPasses = 6
 
 // NewHistoryRecord assembles one trajectory record. Date is the
 // caller's (CI stamps UTC); Go is filled in here. An empty machine

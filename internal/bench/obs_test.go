@@ -58,7 +58,7 @@ func TestSweepTracesExportToChrome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := make([]*obs.Trace, 0, len(rs))
+	traces := make([]*obs.TraceDoc, 0, len(rs))
 	for _, r := range rs {
 		if r.Trace == nil {
 			t.Fatalf("%s: no trace attached", r.Info.Name)
@@ -69,7 +69,7 @@ func TestSweepTracesExportToChrome(t *testing.T) {
 		if len(r.Trace.Spans) == 0 {
 			t.Fatalf("%s: trace recorded no spans", r.Info.Name)
 		}
-		traces = append(traces, r.Trace)
+		traces = append(traces, obs.NewTraceDoc(r.Trace))
 	}
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTrace(&buf, traces); err != nil {

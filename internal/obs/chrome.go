@@ -4,13 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
+	"strconv"
 )
 
-// Chrome trace_event export: renders traces in the JSON Object Format
-// the Perfetto UI (and chrome://tracing) accepts — one "complete" (ph
-// "X") event per span, one thread per trace, timestamps in microseconds
-// relative to the earliest trace. Open the file at ui.perfetto.dev.
+// Chrome trace_event view: renders lsms-trace/1 documents in the JSON
+// Object Format the Perfetto UI (and chrome://tracing) accepts — one
+// "complete" (ph "X") event per span, one thread per trace, timestamps
+// in microseconds relative to the earliest trace. Open the file at
+// ui.perfetto.dev. It is a converter, not a writer of its own: anything
+// it shows is in the document.
 
 // chromeEvent is one trace_event record.
 type chromeEvent struct {
@@ -24,63 +26,76 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the traces as one trace_event JSON document.
-// Each trace becomes its own thread (named after the trace) inside pid
-// 1, so a bench sweep's loops stack vertically in the Perfetto UI while
-// one loop's phases nest on a single track.
-func WriteChromeTrace(w io.Writer, traces []*Trace) error {
-	var events []chromeEvent
-	var base *Trace
-	for _, t := range traces {
-		if t == nil {
-			continue
+// WriteChromeTrace converts lsms-trace/1 documents into one trace_event
+// JSON document. Each document becomes its own thread (named after the
+// loop and request) inside pid 1, so a bench sweep's loops stack
+// vertically in the Perfetto UI while one loop's phases nest on a
+// single track: the root span becomes a "compile" event carrying the
+// outcome, scheduler and error, and each phase span an event carrying
+// its outcome and attributes.
+func WriteChromeTrace(w io.Writer, docs []*TraceDoc) error {
+	var base int64
+	for i, d := range docs {
+		spans := d.Spans()
+		if len(spans) == 0 {
+			return fmt.Errorf("obs: chrome view: trace document without spans")
 		}
-		if base == nil || t.Began.Before(base.Began) {
-			base = t
+		start, _, err := spans[0].nanos()
+		if err != nil {
+			return err
+		}
+		if i == 0 || start < base {
+			base = start
 		}
 	}
-	tid := 0
-	for _, t := range traces {
-		if t == nil {
-			continue
-		}
-		tid++
-		offset := t.Began.Sub(base.Began)
-		label := t.Name
-		if t.ID != "" && t.ID != t.Name {
-			label = fmt.Sprintf("%s (%s)", t.Name, t.ID)
-		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-			Args: map[string]any{"name": label},
-		})
-		args := map[string]any{"outcome": t.Outcome}
-		if t.Scheduler != "" {
-			args["scheduler"] = t.Scheduler
-		}
-		if t.Err != "" {
-			args["err"] = t.Err
-		}
-		events = append(events, chromeEvent{
-			Name: "compile", Cat: "compile", Ph: "X",
-			TS: us(offset), Dur: us(t.Dur), PID: 1, TID: tid, Args: args,
-		})
-		for _, s := range t.Spans {
-			sa := make(map[string]any, len(s.Attrs)+1)
-			if s.Outcome != "" {
-				sa["outcome"] = s.Outcome
+	var events []chromeEvent
+	for i, d := range docs {
+		tid := i + 1
+		spans := d.Spans()
+		for j := range spans {
+			sd := &spans[j]
+			start, end, err := sd.nanos()
+			if err != nil {
+				return err
 			}
-			for _, a := range s.Attrs {
-				if a.Str != "" {
-					sa[a.Key] = a.Str
+			ev := chromeEvent{Name: sd.Name, Cat: "phase", Ph: "X", TS: us(start - base), Dur: us(end - start), PID: 1, TID: tid}
+			if j == 0 {
+				name, id := sd.StrAttr("lsms.loop"), sd.StrAttr("lsms.request_id")
+				label := name
+				if id != "" && id != name {
+					label = fmt.Sprintf("%s (%s)", name, id)
+				}
+				events = append(events, chromeEvent{
+					Name: "thread_name", Ph: "M", PID: 1, TID: tid,
+					Args: map[string]any{"name": label},
+				})
+				ev.Name, ev.Cat = "compile", "compile"
+				ev.Args = map[string]any{"outcome": sd.StrAttr(outcomeKey)}
+				if s := sd.StrAttr("lsms.scheduler"); s != "" {
+					ev.Args["scheduler"] = s
+				}
+				if s := sd.StrAttr("lsms.err"); s != "" {
+					ev.Args["err"] = s
+				}
+				events = append(events, ev)
+				continue
+			}
+			ev.Args = make(map[string]any, len(sd.Attributes)+1)
+			if sd.Status.Code == 1 {
+				ev.Args["outcome"] = OutcomeOK // overridden by lsms.outcome when not ok
+			}
+			for _, kv := range sd.Attributes {
+				v, err := kv.Value.value()
+				if err != nil {
+					return fmt.Errorf("obs: chrome view: span %s attribute %s: %w", sd.Name, kv.Key, err)
+				}
+				if kv.Key == outcomeKey {
+					ev.Args["outcome"] = v
 				} else {
-					sa[a.Key] = a.Int
+					ev.Args[kv.Key] = v
 				}
 			}
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: "phase", Ph: "X",
-				TS: us(offset + s.Start), Dur: us(s.Dur), PID: 1, TID: tid, Args: sa,
-			})
+			events = append(events, ev)
 		}
 	}
 	doc := struct {
@@ -91,5 +106,27 @@ func WriteChromeTrace(w io.Writer, traces []*Trace) error {
 	return enc.Encode(doc)
 }
 
-// us converts a duration to trace_event microseconds.
-func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+// us converts a span of Unix nanoseconds to trace_event microseconds.
+func us(ns int64) float64 { return float64(ns) / 1e3 }
+
+// nanos parses the span's start and end stamps.
+func (sd *SpanData) nanos() (start, end int64, err error) {
+	if start, err = strconv.ParseInt(sd.StartNano, 10, 64); err == nil {
+		end, err = strconv.ParseInt(sd.EndNano, 10, 64)
+	}
+	if err != nil {
+		err = fmt.Errorf("obs: chrome view: span %s: %w", sd.Name, err)
+	}
+	return start, end, err
+}
+
+// value returns the attribute as a Go string or int64.
+func (v AnyValue) value() (any, error) {
+	switch {
+	case v.Str != nil:
+		return *v.Str, nil
+	case v.Int != nil:
+		return strconv.ParseInt(*v.Int, 10, 64)
+	}
+	return nil, fmt.Errorf("no stringValue or intValue")
+}

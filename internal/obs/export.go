@@ -232,16 +232,27 @@ type Scope struct {
 
 // SpanData is one OTLP span.
 type SpanData struct {
-	TraceID      string     `json:"traceId"`
-	SpanID       string     `json:"spanId"`
-	ParentSpanID string     `json:"parentSpanId,omitempty"`
-	Name         string     `json:"name"`
-	Kind         int        `json:"kind,omitempty"` // 2 = SPAN_KIND_SERVER
-	StartNano    string     `json:"startTimeUnixNano"`
-	EndNano      string     `json:"endTimeUnixNano"`
-	Attributes   []KeyValue `json:"attributes,omitempty"`
-	Links        []SpanLink `json:"links,omitempty"`
-	Status       SpanStatus `json:"status"`
+	TraceID      string      `json:"traceId"`
+	SpanID       string      `json:"spanId"`
+	ParentSpanID string      `json:"parentSpanId,omitempty"`
+	Name         string      `json:"name"`
+	Kind         int         `json:"kind,omitempty"` // 2 = SPAN_KIND_SERVER
+	StartNano    string      `json:"startTimeUnixNano"`
+	EndNano      string      `json:"endTimeUnixNano"`
+	Attributes   []KeyValue  `json:"attributes,omitempty"`
+	Events       []SpanEvent `json:"events,omitempty"`
+	// DroppedEvents counts events that fell off the front of a bounded
+	// event tail before the trace was finished.
+	DroppedEvents int        `json:"droppedEventsCount,omitempty"`
+	Links         []SpanLink `json:"links,omitempty"`
+	Status        SpanStatus `json:"status"`
+}
+
+// SpanEvent is one OTLP span event. Scheduler events are ordered but
+// untimed, so timeUnixNano is left out (the OTLP zero value).
+type SpanEvent struct {
+	Name       string     `json:"name"`
+	Attributes []KeyValue `json:"attributes,omitempty"`
 }
 
 // SpanLink points at a span in another trace.
@@ -286,36 +297,51 @@ func nano(t time.Time) string {
 // statusOf maps a span/trace outcome onto the OTLP status enum: ok and
 // still-acceptable verdicts (degraded, infeasible — the service
 // answered correctly) are OK; budget exhaustions, errors, and panics
-// are ERROR with the outcome as the message.
+// are ERROR with the outcome as the message; a span that never ended
+// (no outcome) is UNSET.
 func statusOf(outcome string) SpanStatus {
 	switch outcome {
-	case OutcomeOK, OutcomeDegraded, OutcomeInfeasible, "":
+	case "":
+		return SpanStatus{}
+	case OutcomeOK, OutcomeDegraded, OutcomeInfeasible:
 		return SpanStatus{Code: 1}
 	default:
 		return SpanStatus{Code: 2, Message: outcome}
 	}
 }
 
-// MarshalTrace renders one finished trace as an lsms-trace/1 document:
-// a root span for the whole request and one child span per pipeline
-// phase, all under the trace's W3C context. Child span IDs are derived
-// deterministically from the root span ID, so re-exporting the same
-// trace yields byte-identical output (the golden-fixture contract).
-// Traces without a span context (purely local runs) get a zero trace
-// ID and are still valid documents — but servers only export traces
-// they gave a context to.
-func MarshalTrace(t *Trace) ([]byte, error) {
-	if t == nil {
-		return nil, fmt.Errorf("obs: cannot export a nil trace")
+// attrsOf converts span or event annotations to OTLP attributes.
+func attrsOf(attrs []Attr, kvs []KeyValue) []KeyValue {
+	for _, a := range attrs {
+		if a.Str != "" {
+			kvs = append(kvs, strAttr(a.Key, a.Str))
+		} else {
+			kvs = append(kvs, intAttr(a.Key, a.Int))
+		}
 	}
+	return kvs
+}
+
+// NewTraceDoc builds the lsms-trace/1 document of one finished trace: a
+// root span for the whole request and one child span per pipeline
+// phase, all under the trace's W3C context. The root span carries the
+// trace's identity, outcome, culprit and error as lsms.* attributes,
+// its links, and the scheduler event tail as span events; a child
+// whose outcome is not ok carries it as an lsms.outcome attribute.
+// Child span IDs are derived deterministically from the root span ID,
+// so the same trace always yields the same document. Traces without a
+// span context (purely local runs) get a zero trace ID and are still
+// valid documents.
+func NewTraceDoc(t *Trace) *TraceDoc {
 	root := SpanData{
-		TraceID:   t.Ctx.TraceID.String(),
-		SpanID:    t.Ctx.SpanID.String(),
-		Name:      "compile-request",
-		Kind:      2, // SPAN_KIND_SERVER
-		StartNano: nano(t.Began),
-		EndNano:   nano(t.Began.Add(t.Dur)),
-		Status:    statusOf(t.Outcome),
+		TraceID:       t.Ctx.TraceID.String(),
+		SpanID:        t.Ctx.SpanID.String(),
+		Name:          "compile-request",
+		Kind:          2, // SPAN_KIND_SERVER
+		StartNano:     nano(t.Began),
+		EndNano:       nano(t.Began.Add(t.Dur)),
+		DroppedEvents: t.DroppedEvents,
+		Status:        statusOf(t.Outcome),
 	}
 	if !t.Parent.IsZero() {
 		root.ParentSpanID = t.Parent.SpanID.String()
@@ -336,6 +362,9 @@ func MarshalTrace(t *Trace) ([]byte, error) {
 	if t.Err != "" {
 		root.Attributes = append(root.Attributes, strAttr("lsms.err", t.Err))
 	}
+	for _, e := range t.Events {
+		root.Events = append(root.Events, SpanEvent{Name: e.Name, Attributes: attrsOf(e.Attrs, nil)})
+	}
 	for _, link := range t.Links {
 		root.Links = append(root.Links, SpanLink{
 			TraceID: link.TraceID.String(),
@@ -354,16 +383,13 @@ func MarshalTrace(t *Trace) ([]byte, error) {
 			EndNano:      nano(t.Began.Add(s.Start + s.Dur)),
 			Status:       statusOf(s.Outcome),
 		}
-		for _, a := range s.Attrs {
-			if a.Str != "" {
-				sd.Attributes = append(sd.Attributes, strAttr(a.Key, a.Str))
-			} else {
-				sd.Attributes = append(sd.Attributes, intAttr(a.Key, a.Int))
-			}
+		if s.Outcome != OutcomeOK && s.Outcome != "" {
+			sd.Attributes = append(sd.Attributes, strAttr(outcomeKey, s.Outcome))
 		}
+		sd.Attributes = attrsOf(s.Attrs, sd.Attributes)
 		spans = append(spans, sd)
 	}
-	doc := TraceDoc{
+	return &TraceDoc{
 		Format: TraceFormat,
 		ResourceSpans: []ResourceSpans{{
 			Resource: Resource{Attributes: []KeyValue{strAttr("service.name", "lsmsd")}},
@@ -373,7 +399,21 @@ func MarshalTrace(t *Trace) ([]byte, error) {
 			}},
 		}},
 	}
-	return json.MarshalIndent(&doc, "", "  ")
+}
+
+// outcomeKey is the attribute carrying a span's outcome when it is not
+// ok (the OTLP status alone cannot tell degraded from ok).
+const outcomeKey = "lsms.outcome"
+
+// MarshalTrace renders one finished trace as lsms-trace/1 bytes — the
+// only encoding of a Trace: the exporter ships these bytes and the
+// flight-recorder dump embeds them. Re-marshalling the same trace
+// yields byte-identical output (the golden-fixture contract).
+func MarshalTrace(t *Trace) ([]byte, error) {
+	if t == nil {
+		return nil, fmt.Errorf("obs: cannot export a nil trace")
+	}
+	return json.MarshalIndent(NewTraceDoc(t), "", "  ")
 }
 
 // UnmarshalTraceDoc parses an lsms-trace/1 document, rejecting other
@@ -387,4 +427,27 @@ func UnmarshalTraceDoc(b []byte) (*TraceDoc, error) {
 		return nil, fmt.Errorf("obs: trace document format %q, want %q", doc.Format, TraceFormat)
 	}
 	return &doc, nil
+}
+
+// Spans returns the document's spans, root first: lsms-trace/1 puts
+// the request's root span ahead of its phase spans.
+func (d *TraceDoc) Spans() []SpanData {
+	var out []SpanData
+	for _, rs := range d.ResourceSpans {
+		for _, ss := range rs.ScopeSpans {
+			out = append(out, ss.Spans...)
+		}
+	}
+	return out
+}
+
+// StrAttr returns the span's string attribute key, or "" when the span
+// has none.
+func (sd *SpanData) StrAttr(key string) string {
+	for _, kv := range sd.Attributes {
+		if kv.Key == key && kv.Value.Str != nil {
+			return *kv.Value.Str
+		}
+	}
+	return ""
 }

@@ -103,6 +103,57 @@ func TestMarshalTraceGolden(t *testing.T) {
 	}
 }
 
+// A child span whose outcome is not ok carries it as lsms.outcome (the
+// status alone cannot tell degraded from ok), and the scheduler event
+// tail rides on the root span as OTLP events plus droppedEventsCount.
+func TestMarshalTraceOutcomesAndEvents(t *testing.T) {
+	tr := goldenTrace()
+	tr.Outcome = OutcomeDeadline
+	tr.Spans[0].Outcome = OutcomeDeadline
+	tr.Spans[1].Outcome = OutcomeDegraded
+	tr.Events = []Event{
+		{Name: "place", Attrs: []Attr{{Key: "loop", Str: "triad"}, {Key: "op", Int: -1}}},
+		{Name: "attempt-end"},
+	}
+	tr.DroppedEvents = 7
+	b, err := MarshalTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := UnmarshalTraceDoc(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := doc.Spans()
+	root := spans[0]
+	if root.DroppedEvents != 7 || len(root.Events) != 2 {
+		t.Fatalf("root events %+v dropped %d, want 2 and 7", root.Events, root.DroppedEvents)
+	}
+	ev := root.Events[0]
+	if ev.Name != "place" || len(ev.Attributes) != 2 ||
+		*ev.Attributes[0].Value.Str != "triad" || *ev.Attributes[1].Value.Int != "-1" {
+		t.Fatalf("first event %+v", ev)
+	}
+	if root.Events[1].Name != "attempt-end" || len(root.Events[1].Attributes) != 0 {
+		t.Fatalf("second event %+v", root.Events[1])
+	}
+	for i, want := range []struct {
+		outcome string
+		code    int
+	}{{OutcomeDeadline, 2}, {OutcomeDegraded, 1}, {"", 1}} {
+		sd := spans[i+1]
+		got := sd.StrAttr(outcomeKey)
+		if got != want.outcome || sd.Status.Code != want.code {
+			t.Fatalf("span %s: lsms.outcome %q status %d, want %q and %d", sd.Name, got, sd.Status.Code, want.outcome, want.code)
+		}
+	}
+	for _, sd := range spans[1:] {
+		if len(sd.Events) != 0 {
+			t.Fatalf("child span %s carries events", sd.Name)
+		}
+	}
+}
+
 func TestUnmarshalTraceDocRejectsOtherFormats(t *testing.T) {
 	if _, err := UnmarshalTraceDoc([]byte(`{"format":"lsms-trace/2","resourceSpans":[]}`)); err == nil {
 		t.Fatal("future format tag accepted")

@@ -10,11 +10,11 @@ import (
 const DefaultFlightEntries = 64
 
 // FlightRecorder keeps the last N finished compile traces in a ring
-// buffer. Record is lock-cheap — one mutex acquisition guarding two
-// pointer-sized stores — so it sits on the per-request path of a
-// saturated server without showing up in profiles. Traces must be
-// finished (immutable) before they are recorded; Snapshot then shares
-// them without copying.
+// buffer and dumps them as lsms-trace/1 documents. Record is
+// lock-cheap — one mutex acquisition guarding two pointer-sized
+// stores — so it sits on the per-request path of a saturated server
+// without showing up in profiles. Traces must be finished (immutable)
+// before they are recorded; Snapshot then shares them without copying.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	buf   []*Trace
@@ -75,14 +75,9 @@ func (r *FlightRecorder) Snapshot() []*Trace {
 	return out
 }
 
-// flightDump is the JSON shape of a recorder dump.
-type flightDump struct {
-	Total   uint64   `json:"total_recorded"`
-	Entries []*Trace `json:"entries"`
-}
-
 // WriteJSON dumps the retained traces (oldest-first) as indented JSON —
-// the payload of GET /debug/flightrecorder and of lsmsd's SIGQUIT dump.
+// the payload of GET /debug/flightrecorder and of lsmsd's SIGQUIT dump:
+// {"total_recorded": N, "entries": [<lsms-trace/1 document>, …]}.
 func (r *FlightRecorder) WriteJSON(w io.Writer) error {
 	return r.WriteJSONFilter(w, nil)
 }
@@ -93,18 +88,22 @@ func (r *FlightRecorder) WriteJSON(w io.Writer) error {
 // /debug/flightrecorder?trace=<id> lookup: a slow request found via a
 // latency exemplar is greppable in the ring by its TraceID.
 func (r *FlightRecorder) WriteJSONFilter(w io.Writer, keep func(*Trace) bool) error {
-	entries := r.Snapshot()
-	if keep != nil {
-		kept := entries[:0]
-		for _, t := range entries {
-			if keep(t) {
-				kept = append(kept, t)
-			}
+	traces := r.Snapshot()
+	entries := make([]json.RawMessage, 0, len(traces))
+	for _, t := range traces {
+		if keep != nil && !keep(t) {
+			continue
 		}
-		entries = kept
+		doc, err := MarshalTrace(t)
+		if err != nil {
+			return err
+		}
+		entries = append(entries, doc)
 	}
-	dump := flightDump{Total: r.Total(), Entries: entries}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(dump)
+	return enc.Encode(struct {
+		Total   uint64            `json:"total_recorded"`
+		Entries []json.RawMessage `json:"entries"`
+	}{r.Total(), entries})
 }

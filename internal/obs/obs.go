@@ -1,8 +1,10 @@
 // Package obs is the observability layer of the compile pipeline: a
 // span-based tracer threaded through frontend → mindist → mii/circuits
-// → per-II scheduling attempts → regalloc → codegen, a flight recorder
-// holding the last N compile traces, a Chrome trace_event exporter, and
-// a dependency-free Prometheus exposition registry.
+// → per-II scheduling attempts → regalloc → codegen, one trace encoding
+// (lsms-trace/1, OTLP/JSON-shaped) with a background exporter, a flight
+// recorder holding the last N compile traces, a Chrome trace_event view
+// of lsms-trace/1 documents, and a dependency-free Prometheus
+// exposition registry.
 //
 // The tracer is built for a hot path that almost never traces: every
 // entry point is nil-safe, so code under measurement holds a *Trace
@@ -40,24 +42,23 @@ const (
 	OutcomeBudgetExhausted = "budget-exhausted"
 )
 
-// Attr is one key/value annotation on a span. Values are int64 or
-// string; the two-field split keeps span annotation allocation-free for
-// the common counter case.
+// Attr is one key/value annotation on a span or event. Values are
+// int64 or string (a non-empty Str wins); the two-field split keeps
+// span annotation allocation-free for the common counter case.
 type Attr struct {
-	Key string `json:"key"`
-	Int int64  `json:"int,omitempty"`
-	Str string `json:"str,omitempty"`
+	Key string
+	Int int64
+	Str string
 }
 
 // Span is one timed phase of a compilation. Start/Dur are offsets from
-// the owning trace's Began time, so spans serialize compactly and
-// export to trace_event without clock arithmetic.
+// the owning trace's Began time; Dur stays 0 until End.
 type Span struct {
-	Name    string        `json:"name"`
-	Start   time.Duration `json:"start_us"`
-	Dur     time.Duration `json:"dur_us"`
-	Outcome string        `json:"outcome,omitempty"`
-	Attrs   []Attr        `json:"attrs,omitempty"`
+	Name    string
+	Start   time.Duration
+	Dur     time.Duration
+	Outcome string
+	Attrs   []Attr
 
 	began time.Time // absolute start, for computing Dur at End
 }
@@ -93,47 +94,56 @@ func (s *Span) End(outcome string) {
 	s.Outcome = outcome
 }
 
+// Event is one untimed annotation on a trace's root span. The
+// scheduler's event tail rides here (see sched.TailRecorder.AttachTail):
+// Name is the event kind and Attrs its fields.
+type Event struct {
+	Name  string
+	Attrs []Attr
+}
+
 // Trace is the record of one compilation: identity, the span list in
 // start order, the overall outcome, and (for failed or degraded runs)
-// the tail of the scheduler's typed event stream.
+// the tail of the scheduler's typed event stream. Its one encoding is
+// lsms-trace/1 (MarshalTrace); the flight-recorder dump and the Chrome
+// view are both built from that document.
 type Trace struct {
 	// ID is the request or run identifier (server request ID, or the
 	// loop name for CLI runs).
-	ID string `json:"id"`
+	ID string
 	// Name is the compiled loop's name.
-	Name string `json:"name"`
+	Name string
 	// Scheduler is the policy that ran (may be empty pre-compile).
-	Scheduler string    `json:"scheduler,omitempty"`
-	Began     time.Time `json:"began"`
+	Scheduler string
+	Began     time.Time
 	// Dur is the whole-trace wall time, set by Finish.
-	Dur     time.Duration `json:"dur_us"`
-	Outcome string        `json:"outcome,omitempty"`
-	Err     string        `json:"err,omitempty"`
+	Dur     time.Duration
+	Outcome string
+	Err     string
 	// Culprit names the span that consumed the budget (or otherwise
 	// matches the failing outcome); see Finish.
-	Culprit string  `json:"culprit,omitempty"`
-	Spans   []*Span `json:"spans"`
+	Culprit string
+	Spans   []*Span
 
 	// Ctx is the trace's W3C span context — the TraceID shared with the
 	// caller (or minted at the boundary), the root span's SpanID, and
 	// the sampling verdict. Zero for purely local traces (CLI runs).
-	Ctx SpanContext `json:"ctx,omitzero"`
+	Ctx SpanContext
 	// Parent is the caller's span context when the request arrived with
 	// a traceparent header: the exported root span's parentSpanId.
-	Parent SpanContext `json:"parent,omitzero"`
+	Parent SpanContext
 	// Links are span links attached to the root span: the originating
 	// request contexts of async work (refine-pool re-searches,
 	// warm-start compiles), so an upgrade is attributable to the
 	// request that caused it without pretending to be nested under it.
-	Links []SpanContext `json:"links,omitempty"`
+	Links []SpanContext
 
-	// Tail is the bounded tail of the scheduler's event stream,
-	// attached by the producer for failed or degraded runs only (the
-	// flight recorder's retention rule). Elements are sched.Event
-	// values; obs stays dependency-free by not naming the type.
-	Tail []any `json:"tail,omitempty"`
-	// TailDropped counts events that fell off the front of the tail.
-	TailDropped int `json:"tail_dropped,omitempty"`
+	// Events is the bounded tail of the scheduler's event stream,
+	// attached for failed or degraded runs only (the flight recorder's
+	// retention rule); it exports as the root span's OTLP events.
+	Events []Event
+	// DroppedEvents counts events that fell off the front of the tail.
+	DroppedEvents int
 }
 
 // NewTrace starts a trace. The zero cost of *not* calling it is the

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 )
 
@@ -39,54 +38,13 @@ func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 // String renders the ID as 16 lowercase hex digits.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
-// MarshalJSON renders the ID as a hex string, the form flight-recorder
-// dumps and lsms-trace/1 documents use.
-func (t TraceID) MarshalJSON() ([]byte, error) { return json.Marshal(t.String()) }
-
-// MarshalJSON renders the ID as a hex string.
-func (s SpanID) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
-
-// UnmarshalJSON parses the hex form written by MarshalJSON.
-func (t *TraceID) UnmarshalJSON(b []byte) error {
-	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
-		return err
-	}
-	if str == "" {
-		*t = TraceID{}
-		return nil
-	}
-	if len(str) != 32 {
-		return fmt.Errorf("obs: trace ID %q is not 32 hex digits", str)
-	}
-	_, err := hex.Decode(t[:], []byte(str))
-	return err
-}
-
-// UnmarshalJSON parses the hex form written by MarshalJSON.
-func (s *SpanID) UnmarshalJSON(b []byte) error {
-	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
-		return err
-	}
-	if str == "" {
-		*s = SpanID{}
-		return nil
-	}
-	if len(str) != 16 {
-		return fmt.Errorf("obs: span ID %q is not 16 hex digits", str)
-	}
-	_, err := hex.Decode(s[:], []byte(str))
-	return err
-}
-
 // SpanContext identifies one span in one trace plus the sampling
 // verdict — the unit that crosses process boundaries (as a traceparent
 // header) and that span links point at.
 type SpanContext struct {
-	TraceID TraceID `json:"trace_id"`
-	SpanID  SpanID  `json:"span_id"`
-	Sampled bool    `json:"sampled,omitempty"`
+	TraceID TraceID
+	SpanID  SpanID
+	Sampled bool
 }
 
 // IsZero reports whether no context is attached (invalid TraceID).

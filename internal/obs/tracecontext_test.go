@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -128,6 +126,9 @@ func TestDeriveSpanIDStableAndDistinct(t *testing.T) {
 	}
 }
 
+// The span contexts a trace carries survive its lsms-trace/1 encoding:
+// the root span's traceId/spanId are the trace's own context and its
+// parentSpanId is the caller's span.
 func TestSpanContextJSONRoundTrip(t *testing.T) {
 	sc, err := ParseTraceparent("00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
 	if err != nil {
@@ -137,18 +138,17 @@ func TestSpanContextJSONRoundTrip(t *testing.T) {
 	tr.Ctx = SpanContext{TraceID: sc.TraceID, SpanID: NewSpanID(), Sampled: true}
 	tr.Parent = sc
 	tr.Finish(OutcomeOK)
-	b, err := json.Marshal(tr)
+	b, err := MarshalTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), sc.TraceID.String()) {
-		t.Fatalf("trace ID missing from JSON: %s", b)
-	}
-	var back Trace
-	if err := json.Unmarshal(b, &back); err != nil {
+	doc, err := UnmarshalTraceDoc(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Ctx.TraceID != tr.Ctx.TraceID || back.Parent.SpanID != sc.SpanID {
-		t.Fatal("span context did not survive the round trip")
+	root := doc.Spans()[0]
+	if root.TraceID != tr.Ctx.TraceID.String() || root.SpanID != tr.Ctx.SpanID.String() ||
+		root.ParentSpanID != sc.SpanID.String() {
+		t.Fatalf("span context did not survive the round trip: %+v", root)
 	}
 }

@@ -48,12 +48,6 @@ func (o AttemptOutcome) String() string {
 	return fmt.Sprintf("outcome(%d)", int(o))
 }
 
-// MarshalJSON renders the wire name, keeping flight-recorder dumps and
-// metrics JSON readable.
-func (o AttemptOutcome) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", o.String())), nil
-}
-
 // attemptOutcome folds the engine's (ok, stopReason) pair into the
 // typed outcome.
 func attemptOutcome(ok bool, stopReason string) AttemptOutcome {
@@ -127,12 +121,6 @@ func (k EventKind) String() string {
 		return "degraded"
 	}
 	return fmt.Sprintf("event(%d)", int(k))
-}
-
-// MarshalJSON renders the wire name, so flight-recorder dumps carry
-// "place"/"force"/… instead of bare ordinals.
-func (k EventKind) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", k.String())), nil
 }
 
 // Event is one typed observation from a scheduling run. Loop, Policy and

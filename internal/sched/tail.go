@@ -79,33 +79,54 @@ func (t *TailRecorder) Dropped() int {
 // Total reports how many events the run emitted.
 func (t *TailRecorder) Total() int { return t.total }
 
-// AttachTail copies the retained events onto an obs.Trace — the flight
-// recorder's retention rule is that failed and degraded compiles carry
-// their event tail; callers invoke this only on those outcomes.
-// Nil-safe on the trace.
+// AttachTail copies the retained events onto an obs.Trace, where they
+// export as the root span's OTLP events — the flight recorder's
+// retention rule is that failed and degraded compiles carry their event
+// tail; callers invoke this only on those outcomes. Each event is named
+// by its kind and carries its non-zero fields as attributes, keyed by
+// their lower-case field names. Nil-safe on the trace.
 func (t *TailRecorder) AttachTail(tr *obs.Trace) {
 	if tr == nil || t == nil {
 		return
 	}
 	tail := t.Tail()
-	tr.Tail = make([]any, len(tail))
-	for i := range tail {
-		tr.Tail[i] = tail[i]
+	tr.Events = make([]obs.Event, len(tail))
+	for i, e := range tail {
+		tr.Events[i] = e.traceEvent()
 	}
-	tr.TailDropped = t.Dropped()
+	tr.DroppedEvents = t.Dropped()
 }
 
-// EventsFromTail recovers the typed events from a trace tail written by
-// AttachTail, dropping anything foreign (a trace produced by another
-// program version, say). The result replays through any Observer.
-func EventsFromTail(tail []any) []Event {
-	out := make([]Event, 0, len(tail))
-	for _, v := range tail {
-		if e, ok := v.(Event); ok {
-			out = append(out, e)
+// traceEvent renders e as an obs.Event. Zero-valued fields are left
+// out: they decode back to zero.
+func (e Event) traceEvent() obs.Event {
+	te := obs.Event{Name: e.Kind.String()}
+	str := func(key, v string) {
+		if v != "" {
+			te.Attrs = append(te.Attrs, obs.Attr{Key: key, Str: v})
 		}
 	}
-	return out
+	num := func(key string, v int) {
+		if v != 0 {
+			te.Attrs = append(te.Attrs, obs.Attr{Key: key, Int: int64(v)})
+		}
+	}
+	str("loop", e.Loop)
+	str("policy", e.Policy)
+	num("ii", e.II)
+	num("iter", e.Iter)
+	num("op", e.Op)
+	num("cycle", e.Cycle)
+	num("estart", e.Estart)
+	num("lstart", e.Lstart)
+	num("ejections", e.Ejections)
+	if e.OK {
+		num("ok", 1)
+	}
+	if e.Outcome != AttemptOK {
+		str("outcome", e.Outcome.String())
+	}
+	return te
 }
 
 // Replay feeds a recorded event sequence to an observer — flight

@@ -142,6 +142,9 @@ type outcome struct {
 	// that may enter the result cache; budget-exhausted, degraded, and
 	// error outcomes are excluded (DESIGN.md §5c).
 	cacheable bool
+	// ii and maxLive are the served schedule's II and MaxLive (zero
+	// unless a schedule was found) — what a refinement must beat.
+	ii, maxLive int
 }
 
 // call is one in-flight singleflight computation.

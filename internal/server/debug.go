@@ -25,8 +25,9 @@ func (s *Server) DebugHandler() http.Handler {
 	return mux
 }
 
-// handleFlightRecorder dumps the last-N compile traces, newest last,
-// including the event tail retained for failed and degraded runs.
+// handleFlightRecorder dumps the last-N compile traces, newest last, as
+// lsms-trace/1 documents — a failed or degraded run's root span carries
+// its scheduler event tail as span events.
 // ?trace=<32-hex-trace-id> narrows the dump to the entries belonging to
 // one W3C trace — the "what did this request do on this node" query.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {

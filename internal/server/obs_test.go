@@ -16,6 +16,34 @@ import (
 	"repro/internal/wire"
 )
 
+// flightDump fetches a flight-recorder dump and parses each entry as an
+// lsms-trace/1 document.
+func flightDump(t *testing.T, url string) (int, []*obs.TraceDoc) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("flightrecorder status %d", resp.StatusCode)
+	}
+	var dump struct {
+		Total   int               `json:"total_recorded"`
+		Entries []json.RawMessage `json:"entries"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]*obs.TraceDoc, len(dump.Entries))
+	for i, e := range dump.Entries {
+		if docs[i], err = obs.UnmarshalTraceDoc(e); err != nil {
+			t.Fatalf("flight entry %d: %v", i, err)
+		}
+	}
+	return dump.Total, docs
+}
+
 // newDebugServer mounts the debug surface the way cmd/lsmsd does: on
 // its own listener, separate from the compile port.
 func newDebugServer(t *testing.T, s *Server) *httptest.Server {
@@ -75,56 +103,44 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	post(t, ts.URL, requestBody(t, fixture.Daxpy(m), "slack", wire.Options{}))
 	post(t, ts.URL, requestBody(t, fixture.Divide(m), "slack", budgetTripOptions))
 
-	resp, err := http.Get(ds.URL + "/debug/flightrecorder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("flightrecorder status %d", resp.StatusCode)
-	}
-	var dump struct {
-		Total   uint64 `json:"total_recorded"`
-		Entries []struct {
-			ID      string `json:"id"`
-			Name    string `json:"name"`
-			Outcome string `json:"outcome"`
-			Culprit string `json:"culprit"`
-			Spans   []struct {
-				Name string `json:"name"`
-			} `json:"spans"`
-			Tail []json.RawMessage `json:"tail"`
-		} `json:"entries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.Total != 2 || len(dump.Entries) != 2 {
-		t.Fatalf("dump holds %d/%d traces, want 2", dump.Total, len(dump.Entries))
+	total, docs := flightDump(t, ds.URL+"/debug/flightrecorder")
+	if total != 2 || len(docs) != 2 {
+		t.Fatalf("dump holds %d/%d traces, want 2", total, len(docs))
 	}
 
-	ok, failed := dump.Entries[0], dump.Entries[1]
-	if ok.Outcome != obs.OutcomeOK || ok.Name != "daxpy" {
-		t.Fatalf("first entry %+v, want ok daxpy", ok)
+	ok, failed := docs[0].Spans(), docs[1].Spans()
+	if got := ok[0].StrAttr("lsms.outcome"); got != obs.OutcomeOK || ok[0].StrAttr("lsms.loop") != "daxpy" {
+		t.Fatalf("first entry outcome %q loop %q, want ok daxpy", got, ok[0].StrAttr("lsms.loop"))
 	}
-	if len(ok.Spans) == 0 {
+	if len(ok) < 2 {
 		t.Fatal("ok trace recorded no spans")
 	}
-	if len(ok.Tail) != 0 {
+	if len(ok[0].Events) != 0 || ok[0].DroppedEvents != 0 {
 		t.Error("ok trace retained an event tail; retention is for non-ok runs only")
 	}
-	if ok.ID == "" {
+	if ok[0].StrAttr("lsms.request_id") == "" {
 		t.Error("trace missing its request ID")
 	}
 
-	if failed.Outcome != obs.OutcomeCentralIters {
-		t.Fatalf("failed entry outcome %q, want %q", failed.Outcome, obs.OutcomeCentralIters)
+	if got := failed[0].StrAttr("lsms.outcome"); got != obs.OutcomeCentralIters {
+		t.Fatalf("failed entry outcome %q, want %q", got, obs.OutcomeCentralIters)
 	}
-	if len(failed.Tail) == 0 {
+	if len(failed[0].Events) == 0 {
 		t.Fatal("failed trace retained no event tail")
 	}
-	if failed.Culprit == "" {
-		t.Error("failed trace elected no culprit span")
+	culprit := failed[0].StrAttr("lsms.culprit")
+	if culprit == "" {
+		t.Fatal("failed trace elected no culprit span")
+	}
+	// The culprit names a phase span that carries the failing outcome.
+	var culpritSeen bool
+	for _, sp := range failed[1:] {
+		if sp.Name == culprit && sp.StrAttr("lsms.outcome") == obs.OutcomeCentralIters {
+			culpritSeen = true
+		}
+	}
+	if !culpritSeen {
+		t.Errorf("no %q span carries lsms.outcome %q", culprit, obs.OutcomeCentralIters)
 	}
 
 	if n := metricValue(t, ts.URL, "lsmsd_flightrecorder_entries"); n != 2 {

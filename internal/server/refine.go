@@ -31,23 +31,29 @@ import (
 // larger budget than the synchronous compile, and retrying it on every
 // hit would burn the background pool on proven-unimprovable keys.
 
-// refineJob is one queued refinement: a private copy of the raw request
-// bytes (the handler's decode buffers are pooled and recycled, so the
-// worker re-decodes from its own copy) plus the served response bytes
-// for the strict-improvement comparison.
+// refineJob is one queued refinement: the request's resolved loop and
+// structural options, and the served answer's (II, MaxLive) for the
+// strict-improvement comparison.
 type refineJob struct {
 	hash      string
 	reqID     string
 	schedName string
-	loopName  string
-	rawReq    []byte // owned copy of the request body
-	baseBody  []byte // served response bytes (immutable by outcome contract)
+	machine   string
+	opts      wire.Options
+	// loop is the normalized request's loop; Normalize built it fresh,
+	// so the job owns it once the request's compile has returned.
+	loop                *ir.Loop
+	baseII, baseMaxLive int
 	// link is the originating request's span context. The refinement runs
 	// under a fresh TraceID — it outlives the request and belongs to no
 	// caller — but its trace carries a span link back here, so a store
 	// upgrade is attributable to the request that caused it.
 	link obs.SpanContext
 }
+
+// refineQueue bounds the pending-refinement queue; a full queue drops
+// new jobs (the served record stays valid, just unrefined).
+const refineQueue = 256
 
 // refiner is the background worker pool. Workers honor ctx — Close
 // cancels it and the exact search's budget guard observes it within
@@ -63,7 +69,7 @@ type refiner struct {
 }
 
 func newRefiner(s *Server) *refiner {
-	r := &refiner{s: s, jobs: make(chan refineJob, s.cfg.RefineQueue)}
+	r := &refiner{s: s, jobs: make(chan refineJob, refineQueue)}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for i := 0; i < s.cfg.RefineWorkers; i++ {
 		r.wg.Add(1)
@@ -95,44 +101,34 @@ func (r *refiner) close() {
 
 func (r *refiner) run() {
 	defer r.wg.Done()
-	var dec wire.Scratch
 	for {
 		select {
 		case <-r.ctx.Done():
 			return
 		case job := <-r.jobs:
-			r.process(&dec, job)
-			dec.Reset()
+			r.process(job)
 		}
 	}
 }
 
-// process runs one refinement end to end: re-decode, exact search,
+// process runs one refinement end to end: exact search,
 // strict-improvement comparison, store upgrade. Every job leaves one
 // `refine` trace in the flight recorder and bumps exactly one of the
 // improved/unchanged/exhausted counters.
-func (r *refiner) process(dec *wire.Scratch, job refineJob) {
+func (r *refiner) process(job refineJob) {
 	s := r.s
 	start := time.Now()
 	s.m.refineStarted.Inc()
-	tr := obs.NewTrace(job.reqID, job.loopName)
-	tr.Scheduler = string(core.SchedExact)
-	tr.Ctx = obs.SpanContext{
-		TraceID: obs.NewTraceID(),
-		SpanID:  obs.NewSpanID(),
-		Sampled: job.link.Sampled, // inherit the originating verdict
-	}
-	if !job.link.IsZero() {
-		tr.Links = []obs.SpanContext{job.link}
-	}
+	loop := job.loop
+	sctx := obs.NewSpanContext()
+	sctx.Sampled = job.link.Sampled // inherit the originating verdict
+	tr := newTrace(job.reqID, loop.Name, string(core.SchedExact), sctx, obs.SpanContext{}, job.link)
 	sp := tr.Start("refine")
 
 	outcome := "exhausted"
 	defer func() {
 		sp.End(outcome)
-		tr.Finish(outcome)
-		s.flight.Record(tr)
-		s.exportTrace(tr)
+		s.finishTrace(tr, outcome, true)
 		switch outcome {
 		case "improved":
 			s.m.refineImproved.Inc()
@@ -144,7 +140,7 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 		if s.logger != nil {
 			s.logger.Info("refine",
 				"request_id", job.reqID,
-				"loop", job.loopName,
+				"loop", loop.Name,
 				"scheduler", job.schedName,
 				"hash", job.hash,
 				"outcome", outcome,
@@ -153,27 +149,11 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 		}
 	}()
 
-	req, err := dec.DecodeRequest(job.rawReq)
-	if err != nil {
-		tr.Err = err.Error()
-		return
-	}
-	norm, loop, err := req.Normalize()
-	if err != nil {
-		tr.Err = err.Error()
-		return
-	}
-	var base wire.Response
-	if err := json.Unmarshal(job.baseBody, &base); err != nil {
-		tr.Err = err.Error()
-		return
-	}
-
 	// The request's structural options (MaxII, StartII, increment mode)
 	// still bind — a refined schedule must satisfy the same contract the
 	// original answer did — but the synchronous deadline does not: the
 	// whole point of the tier is searching under a longer budget.
-	cfg := norm.Options.SchedConfig()
+	cfg := job.opts.SchedConfig()
 	cfg.Budget.Deadline = s.cfg.RefineDeadline
 	cfg.Budget.MaxCentralIters = s.cfg.RefineNodes
 	cfg.Budget.MaxIIAttempts = 0
@@ -186,12 +166,12 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 	}
 	res := out.Result
 	eII, eML := res.Schedule.II, out.MaxLive
-	sp.Int("base_ii", int64(base.II)).Int("base_maxlive", int64(base.MaxLive))
+	sp.Int("base_ii", int64(job.baseII)).Int("base_maxlive", int64(job.baseMaxLive))
 	sp.Int("ii", int64(eII)).Int("maxlive", int64(eML))
 	if out.Proven {
 		sp.Int("proven", 1)
 	}
-	if eII > base.II || (eII == base.II && eML >= base.MaxLive) {
+	if eII > job.baseII || (eII == job.baseII && eML >= job.baseMaxLive) {
 		outcome = "unchanged"
 		return
 	}
@@ -204,26 +184,14 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 			return
 		}
 	}
-	sc := res.Schedule
-	b := res.Bounds
 	resp := &wire.Response{
 		Hash:      job.hash,
 		Loop:      loop.Name,
-		Machine:   norm.Machine,
+		Machine:   job.machine,
 		Scheduler: job.schedName,
-		OK:        true,
-		Bounds:    wire.Bounds{ResMII: b.ResMII, RecMII: b.RecMII, MII: b.MII},
-		II:        sc.II,
-		Length:    sc.Length(),
-		Stages:    sc.Stages(),
-		Times:     sc.Time,
-		MaxLive:   eML,
-		MinAvg:    mindist.MinAvg(loop, md, ir.RR),
-		ICR:       lifetime.ICRUsage(loop, sc),
-		GPRs:      loop.GPRCount(),
-		Effort:    wire.EffortOf(res.Stats),
 		Refined:   true,
 	}
+	successBody(resp, res, eML, mindist.MinAvg(loop, md, ir.RR), lifetime.ICRUsage(loop, res.Schedule), loop.GPRCount())
 	body, err := json.Marshal(resp)
 	if err != nil {
 		tr.Err = err.Error()
@@ -234,7 +202,7 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 	}
 	s.store.Upgrade(job.hash, store.Record{
 		Status:  http.StatusOK,
-		Machine: norm.Machine,
+		Machine: job.machine,
 		Body:    body,
 		Refined: true,
 	})

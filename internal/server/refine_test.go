@@ -3,8 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -108,12 +113,20 @@ func TestRefineUpgradesStoreEntry(t *testing.T) {
 		t.Errorf("lsmsd_refine_improved_total = %d, want 1", v)
 	}
 
-	// The refinement left a trace with a `refine` span in the recorder.
+	// The refinement left a trace in the recorder: a `refine` span with
+	// outcome improved, linked to the request that caused it, and no
+	// event tail (only failed compiles carry one).
 	var sawSpan bool
-	for _, tr := range s1.FlightRecorder().Snapshot() {
-		for _, sp := range tr.Spans {
-			if sp.Name == "refine" && sp.Outcome == "improved" {
+	_, docs := flightDump(t, newDebugServer(t, s1).URL+"/debug/flightrecorder")
+	for _, doc := range docs {
+		spans := doc.Spans()
+		for _, sp := range spans[1:] {
+			if sp.Name == "refine" && sp.StrAttr("lsms.outcome") == "improved" {
 				sawSpan = true
+				if root := spans[0]; len(root.Links) != 1 || len(root.Events) != 0 ||
+					root.StrAttr("lsms.outcome") != "improved" || root.StrAttr("lsms.culprit") != "refine" {
+					t.Errorf("refine trace root: %+v", root)
+				}
 			}
 		}
 	}
@@ -138,6 +151,40 @@ func TestRefineUpgradesStoreEntry(t *testing.T) {
 	}
 	if !bytes.Equal(b3, refined) {
 		t.Fatalf("replay not byte-identical to refined body:\n%s\nvs\n%s", refined, b3)
+	}
+}
+
+// TestRefinedBodiesGolden pins the refined response bytes of every
+// kernel the exact backend improves on cydra;
+// testdata/refine_golden.json maps kernel name to body. Three of
+// the searches (cmplxmul, lll07_eos, srot) end on the node cap, so the
+// test lifts the refine deadline out of their way; -short checks only
+// kernels whose search proves optimality within a few hundred nodes.
+func TestRefinedBodiesGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "refine_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]string
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	names := slices.Sorted(maps.Keys(golden))
+	if testing.Short() {
+		names = []string{"clipcond", "lll12_firstdiff", "triad", "wavefront"}
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, Refine: true, RefineWorkers: 2, RefineDeadline: 5 * time.Minute})
+	bodies := map[string][]byte{}
+	for _, name := range names {
+		bodies[name] = requestBody(t, kernelLoop(t, name), "slack", wire.Options{})
+		if r, b := post(t, ts.URL, bodies[name]); r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: cold compile status %d: %s", name, r.StatusCode, b)
+		}
+	}
+	for _, name := range names {
+		if got := waitRefined(t, ts.URL, bodies[name]); string(got) != golden[name] {
+			t.Errorf("%s: refined body drifted:\ngot  %s\nwant %s", name, got, golden[name])
+		}
 	}
 }
 

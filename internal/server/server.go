@@ -61,6 +61,9 @@ import (
 	"repro/internal/wire"
 )
 
+// maxBodyBytes bounds a compile request body (8 MiB).
+const maxBodyBytes = 8 << 20
+
 // Config tunes the service; the zero value gets sensible defaults.
 type Config struct {
 	// Workers bounds concurrent compiles; default GOMAXPROCS.
@@ -77,10 +80,6 @@ type Config struct {
 	// StoreMaxBytes bounds the disk tier's log size (compaction plus
 	// oldest-first eviction); 0 means unbounded.
 	StoreMaxBytes int64
-	// Store, when non-nil, replaces the tiers the fields above would
-	// build — the injection point for custom tier stacks. The server
-	// owns it from New on and closes it during Shutdown.
-	Store store.Tier
 	// DefaultDeadline applies when a request carries no deadline_ms;
 	// default 30s, negative means unbudgeted.
 	DefaultDeadline time.Duration
@@ -88,8 +87,6 @@ type Config struct {
 	MaxDeadline time.Duration
 	// RetryAfter is the hint returned with 429; default 1s.
 	RetryAfter time.Duration
-	// MaxBodyBytes bounds the request body; default 8 MiB.
-	MaxBodyBytes int64
 	// FlightEntries bounds the flight recorder's ring of recent compile
 	// traces; default obs.DefaultFlightEntries.
 	FlightEntries int
@@ -110,10 +107,6 @@ type Config struct {
 	// (sched.Budget.MaxCentralIters for the exact backend); default
 	// 1<<20.
 	RefineNodes int64
-	// RefineQueue bounds the pending-refinement queue; a full queue
-	// drops new jobs (the served record stays valid, just unrefined).
-	// Default 256.
-	RefineQueue int
 	// TraceDir, when non-empty, spools sampled request traces to disk as
 	// lsms-trace/1 JSON documents, one file per trace (obs.Exporter).
 	TraceDir string
@@ -166,9 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.RefineWorkers <= 0 {
 		c.RefineWorkers = 1
 	}
@@ -177,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefineNodes <= 0 {
 		c.RefineNodes = 1 << 20
-	}
-	if c.RefineQueue <= 0 {
-		c.RefineQueue = 256
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
@@ -229,30 +216,16 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 		gate:    newDrainGate(),
 	}
-	if cfg.Store != nil {
-		if tiered, ok := cfg.Store.(*store.Tiered); ok {
-			s.store = tiered
-		} else {
-			s.store = store.NewTiered(cfg.Store)
+	mem := store.NewMemory(cfg.CacheEntries)
+	if cfg.StoreDir != "" {
+		d, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
+		if err != nil {
+			return nil, err
 		}
-		for _, tier := range s.store.Tiers() {
-			if d, ok := tier.(*store.Disk); ok {
-				s.disk = d
-				break
-			}
-		}
+		s.disk = d
+		s.store = store.NewTiered(mem, d)
 	} else {
-		mem := store.NewMemory(cfg.CacheEntries)
-		if cfg.StoreDir != "" {
-			d, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
-			if err != nil {
-				return nil, err
-			}
-			s.disk = d
-			s.store = store.NewTiered(mem, d)
-		} else {
-			s.store = store.NewTiered(mem)
-		}
+		s.store = store.NewTiered(mem)
 	}
 	if cfg.TraceDir != "" || cfg.TraceCollector != "" {
 		exp, err := obs.NewExporter(obs.ExporterConfig{
@@ -421,14 +394,41 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// exportTrace offers a finished trace to the exporter when the request
-// was sampled, reporting whether the exporter accepted it. Nil-safe on
-// every axis (no exporter, nil trace, unsampled: false).
-func (s *Server) exportTrace(tr *obs.Trace) bool {
-	if s.exporter != nil && tr != nil && tr.Ctx.Sampled {
-		return s.exporter.Export(tr)
+// newTrace opens the trace of one unit of served work: the request ID
+// and loop it serves, the scheduler, its W3C span context, the caller's
+// span (zero when the request carried no traceparent), and a span link
+// to the request context that caused it (zero unless the work is async:
+// a refinement or a warm-start compile).
+func newTrace(reqID, loop, schedName string, sctx, parent, link obs.SpanContext) *obs.Trace {
+	tr := obs.NewTrace(reqID, loop)
+	tr.Scheduler = schedName
+	tr.Ctx, tr.Parent = sctx, parent
+	if !link.IsZero() {
+		tr.Links = []obs.SpanContext{link}
 	}
-	return false
+	return tr
+}
+
+// exporting reports whether a trace under sctx would be exported: an
+// exporter is configured and the trace is sampled.
+func (s *Server) exporting(sctx obs.SpanContext) bool {
+	return s.exporter != nil && sctx.Sampled
+}
+
+// finishTrace closes tr with outcome, keeps it in the flight recorder
+// when retain is set, and offers it to the exporter when sampled. It
+// reports whether the exporter accepted the trace: only then may a
+// latency exemplar point at it. Nil-safe on tr (an unsampled dedup wait
+// opens no trace).
+func (s *Server) finishTrace(tr *obs.Trace, outcome string, retain bool) bool {
+	if tr == nil {
+		return false
+	}
+	tr.Finish(outcome)
+	if retain {
+		s.flight.Record(tr)
+	}
+	return s.exporting(tr.Ctx) && s.exporter.Export(tr)
 }
 
 // serverTiming renders a finished trace's spans as a Server-Timing
@@ -486,13 +486,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	scr := reqScratchPool.Get().(*reqScratch)
 	defer scr.release()
-	body, err := readBody(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1), &scr.body)
+	body, err := readBody(io.LimitReader(r.Body, maxBodyBytes+1), &scr.body)
 	if err != nil {
 		s.badRequest(w, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		s.badRequest(w, fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+	if len(body) > maxBodyBytes {
+		s.badRequest(w, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
 		return
 	}
 	req, err := scr.dec.DecodeRequest(body)
@@ -549,18 +549,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// Memory hits only pay for a trace when it will be exported; a
 		// deeper-tier hit did I/O, so it also leaves a flight-recorder
 		// entry unconditionally.
-		if tier > 0 || (s.exporter != nil && sctx.Sampled) {
-			tr := obs.NewTrace(reqID, loop.Name)
-			tr.Scheduler = schedName
-			tr.Ctx, tr.Parent = sctx, parent
+		if tier > 0 || s.exporting(sctx) {
+			tr := newTrace(reqID, loop.Name, schedName, sctx, parent, obs.SpanContext{})
 			sp := tr.Start("store-get")
 			sp.Int("tier", int64(tier)).Int("body_bytes", int64(len(rec.Body)))
 			sp.End(obs.OutcomeOK)
-			tr.Finish(obs.OutcomeOK)
-			if tier > 0 {
-				s.flight.Record(tr)
-			}
-			s.exportTrace(tr)
+			s.finishTrace(tr, obs.OutcomeOK, tier > 0)
 			if st := serverTiming(tr); st != "" {
 				w.Header().Set("Server-Timing", st)
 			}
@@ -587,17 +581,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// named for; a cancelled wait just discards them (nil-safe).
 		var wtr *obs.Trace
 		var wsp *obs.Span
-		if s.exporter != nil && sctx.Sampled {
-			wtr = obs.NewTrace(reqID, loop.Name)
-			wtr.Scheduler = schedName
-			wtr.Ctx, wtr.Parent = sctx, parent
+		if s.exporting(sctx) {
+			wtr = newTrace(reqID, loop.Name, schedName, sctx, parent, obs.SpanContext{})
 			wsp = wtr.Start("dedup-wait")
 		}
 		select {
 		case <-c.done:
 			wsp.End(obs.OutcomeOK)
-			wtr.Finish(obs.OutcomeOK)
-			s.exportTrace(wtr)
+			s.finishTrace(wtr, obs.OutcomeOK, false)
 			s.writeRaw(w, c.out.status, c.out.body, "dedup")
 			s.logRequest(reqID, loop.Name, schedName, c.out.status, "dedup", c.out.name, time.Since(start))
 		case <-r.Context().Done():
@@ -611,27 +602,27 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// Tier 3: admission control, then a worker slot. admitAndCompile
 	// writes cacheable outcomes through the store itself, finishes the
 	// trace, and exports it when sampled.
-	tr := obs.NewTrace(reqID, loop.Name)
-	tr.Scheduler = schedName
-	tr.Ctx, tr.Parent = sctx, parent
+	tr := newTrace(reqID, loop.Name, schedName, sctx, parent, obs.SpanContext{})
 	out := s.admitAndCompile(r.Context(), norm, loop, schedName, hash, reqID, scr.run, tr)
 	s.flights.finish(hash, c, out)
 	if s.refine != nil && out.cacheable && out.status == http.StatusOK &&
 		out.name == obs.OutcomeOK && schedName != string(core.SchedExact) {
 		// Background refinement rides on the cold compile that created the
-		// store record. The job owns a copy of the raw request (the decode
-		// scratch is pooled) and references the response bytes (immutable
-		// once published). The request's span context rides along as the
-		// link target: the refine trace is caused by this request without
-		// being nested under it.
+		// store record. The job takes the resolved loop (Normalize built it
+		// fresh; nothing pooled backs it) and the served (II, MaxLive). The
+		// request's span context rides along as the link target: the
+		// refine trace is caused by this request without being nested
+		// under it.
 		s.refine.enqueue(refineJob{
-			hash:      hash,
-			reqID:     reqID,
-			schedName: schedName,
-			loopName:  loop.Name,
-			rawReq:    append([]byte(nil), body...),
-			baseBody:  out.body,
-			link:      sctx,
+			hash:        hash,
+			reqID:       reqID,
+			schedName:   schedName,
+			machine:     norm.Machine,
+			opts:        norm.Options,
+			loop:        loop,
+			baseII:      out.ii,
+			baseMaxLive: out.maxLive,
+			link:        sctx,
 		})
 	}
 	if st := serverTiming(tr); st != "" {
@@ -756,10 +747,8 @@ func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *
 		// event tail — that is where replaying the run matters.
 		run.tail.AttachTail(tr)
 	}
-	tr.Finish(out.name)
-	s.flight.Record(tr)
 	exID := ""
-	if s.exportTrace(tr) {
+	if s.finishTrace(tr, out.name, true) {
 		// The exemplar on the latency histogram points at a trace the
 		// exporter actually accepted — a dashboard bucket links straight
 		// to a spooled trace document, never to an ID that resolves to
@@ -867,7 +856,6 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 	}
 
 	res := c.Result
-	resp.OK = c.OK()
 	resp.Degraded = c.Degraded
 	if !c.OK() {
 		// Defensive: core.CompileContext reports infeasibility via err,
@@ -886,22 +874,33 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 		s.m.compileDegraded.Inc()
 		name = obs.OutcomeDegraded
 	}
-	sc := res.Schedule
+	if mii := res.Bounds.MII; mii > 0 {
+		s.m.iiOverMII.Observe(float64(res.Schedule.II) / float64(mii))
+	}
+	s.m.maxLive.Observe(float64(c.RR.MaxLive))
+	successBody(resp, res, c.RR.MaxLive, c.MinAvg, c.ICR, c.GPRs)
+	// Degraded schedules come from a wall-clock fallback and are not
+	// reproducible; keep them out of the cache.
+	return s.respOutcome(http.StatusOK, name, resp, nil, !c.Degraded)
+}
+
+// successBody fills resp with a feasible schedule: bounds, shape and
+// effort from the result, plus its register measurements. It builds the
+// success body of a cold compile (outcomeOf) and of a refinement
+// upgrade alike, so the two carry the same fields in the same form.
+func successBody(resp *wire.Response, res *sched.Result, maxLive, minAvg, icr, gprs int) {
+	sc, b := res.Schedule, res.Bounds
+	resp.OK = true
+	resp.Bounds = wire.Bounds{ResMII: b.ResMII, RecMII: b.RecMII, MII: b.MII}
 	resp.II = sc.II
 	resp.Length = sc.Length()
 	resp.Stages = sc.Stages()
 	resp.Times = sc.Time
-	resp.MaxLive = c.RR.MaxLive
-	resp.MinAvg = c.MinAvg
-	resp.ICR = c.ICR
-	resp.GPRs = c.GPRs
-	if mii := res.Bounds.MII; mii > 0 {
-		s.m.iiOverMII.Observe(float64(sc.II) / float64(mii))
-	}
-	s.m.maxLive.Observe(float64(c.RR.MaxLive))
-	// Degraded schedules come from a wall-clock fallback and are not
-	// reproducible; keep them out of the cache.
-	return s.respOutcome(http.StatusOK, name, resp, nil, !c.Degraded)
+	resp.MaxLive = maxLive
+	resp.MinAvg = minAvg
+	resp.ICR = icr
+	resp.GPRs = gprs
+	resp.Effort = wire.EffortOf(res.Stats)
 }
 
 func (s *Server) respOutcome(status int, name string, resp *wire.Response, e *wire.Error, cacheable bool) outcome {
@@ -911,7 +910,7 @@ func (s *Server) respOutcome(status int, name string, resp *wire.Response, e *wi
 		body = []byte(fmt.Sprintf(`{"error":{"kind":%q,"message":%q}}`, wire.ErrKindInternal, err.Error()))
 		status, cacheable = http.StatusInternalServerError, false
 	}
-	return outcome{status: status, name: name, body: body, cacheable: cacheable}
+	return outcome{status: status, name: name, body: body, cacheable: cacheable, ii: resp.II, maxLive: resp.MaxLive}
 }
 
 func (s *Server) errOutcome(status int, e *wire.Error) outcome {

@@ -77,7 +77,7 @@ func spoolDocs(t *testing.T, dir string, pred func(*obs.TraceDoc) bool) []*obs.T
 
 func rootSpan(t *testing.T, doc *obs.TraceDoc) obs.SpanData {
 	t.Helper()
-	spans := doc.ResourceSpans[0].ScopeSpans[0].Spans
+	spans := doc.Spans()
 	if len(spans) == 0 {
 		t.Fatal("trace document has no spans")
 	}
@@ -345,41 +345,22 @@ func TestFlightRecorderTraceFilter(t *testing.T) {
 	// A second, unrelated compile to give the filter something to drop.
 	post(t, ts.URL, requestBody(t, fixture.Reduction(machine.Cydra()), "slack", wire.Options{}))
 
-	var dump struct {
-		Total   int `json:"total_recorded"`
-		Entries []struct {
-			Ctx obs.SpanContext `json:"ctx"`
-		} `json:"entries"`
+	total, docs := flightDump(t, debug.URL+"/debug/flightrecorder")
+	if len(docs) != 2 {
+		t.Fatalf("unfiltered dump has %d entries, want 2", len(docs))
 	}
-	get := func(url string) {
-		t.Helper()
-		r, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		dump.Entries = nil
-		if err := json.NewDecoder(r.Body).Decode(&dump); err != nil {
-			t.Fatal(err)
-		}
+	total, docs = flightDump(t, debug.URL+"/debug/flightrecorder?trace="+sc.TraceID.String())
+	if len(docs) != 1 {
+		t.Fatalf("filtered dump has %d entries, want 1", len(docs))
 	}
-	get(debug.URL + "/debug/flightrecorder")
-	if len(dump.Entries) != 2 {
-		t.Fatalf("unfiltered dump has %d entries, want 2", len(dump.Entries))
-	}
-	get(debug.URL + "/debug/flightrecorder?trace=" + sc.TraceID.String())
-	if len(dump.Entries) != 1 {
-		t.Fatalf("filtered dump has %d entries, want 1", len(dump.Entries))
-	}
-	if got := dump.Entries[0].Ctx.TraceID.String(); got != sc.TraceID.String() {
+	if got := rootSpan(t, docs[0]).TraceID; got != sc.TraceID.String() {
 		t.Fatalf("filtered entry belongs to trace %s", got)
 	}
-	if dump.Total != 2 {
-		t.Fatalf("total_recorded %d should stay unfiltered", dump.Total)
+	if total != 2 {
+		t.Fatalf("total_recorded %d should stay unfiltered", total)
 	}
-	get(debug.URL + "/debug/flightrecorder?trace=" + strings.Repeat("0", 32))
-	if len(dump.Entries) != 0 {
-		t.Fatalf("bogus trace ID matched %d entries", len(dump.Entries))
+	if _, docs = flightDump(t, debug.URL+"/debug/flightrecorder?trace="+strings.Repeat("0", 32)); len(docs) != 0 {
+		t.Fatalf("bogus trace ID matched %d entries", len(docs))
 	}
 }
 

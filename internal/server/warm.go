@@ -144,14 +144,9 @@ func (s *Server) warmOne(ctx context.Context, req *wire.Request, i int, warmRoot
 		return
 	}
 	reqID := fmt.Sprintf("warm-%04d", i)
-	tr := obs.NewTrace(reqID, loop.Name)
-	tr.Scheduler = schedName
-	tr.Ctx = obs.SpanContext{
-		TraceID: obs.NewTraceID(),
-		SpanID:  obs.NewSpanID(),
-		Sampled: warmRoot.Sampled,
-	}
-	tr.Links = []obs.SpanContext{warmRoot}
+	sctx := obs.NewSpanContext()
+	sctx.Sampled = warmRoot.Sampled
+	tr := newTrace(reqID, loop.Name, schedName, sctx, obs.SpanContext{}, warmRoot)
 	out := s.admitAndCompile(ctx, norm, loop, schedName, hash, reqID, run, tr)
 	s.flights.finish(hash, c, out)
 	if out.cacheable {
